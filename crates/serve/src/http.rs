@@ -1,4 +1,5 @@
-//! A deliberately small HTTP/1.1 subset over blocking [`TcpStream`]s:
+//! A deliberately small HTTP/1.1 subset over blocking [`TcpStream`]s
+//! (requests parse from any [`Read`], which the property suites use):
 //! enough for a JSON job API (request line, headers, `Content-Length`
 //! bodies, `Connection: close` responses). No chunked encoding, no
 //! keep-alive, no TLS — the service fronts a trusted lab network, and
@@ -25,9 +26,11 @@ pub struct Request {
 }
 
 /// Reads one request from the stream. `Err` strings describe malformed
-/// or oversized input; the caller answers 400 and closes.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    let mut reader = BufReader::new(stream);
+/// or oversized input; the caller answers 400 and closes. Reads at most
+/// one byte past [`MAX_HEADER_BYTES`] before the body, so a client that
+/// never ends its header block costs bounded memory.
+pub fn read_request(stream: impl Read) -> Result<Request, String> {
+    let mut reader = BufReader::new(stream.take(MAX_HEADER_BYTES as u64 + 1));
     let mut line = String::new();
     reader
         .read_line(&mut line)
@@ -41,12 +44,15 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut header_bytes = line.len();
     loop {
         let mut h = String::new();
-        reader
+        let n = reader
             .read_line(&mut h)
             .map_err(|e| format!("read header: {e}"))?;
-        header_bytes += h.len();
+        header_bytes += n;
         if header_bytes > MAX_HEADER_BYTES {
             return Err("header block too large".into());
+        }
+        if n == 0 {
+            return Err("header block ended before its blank line".into());
         }
         let h = h.trim_end();
         if h.is_empty() {
@@ -64,6 +70,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     if content_length > MAX_BODY_BYTES {
         return Err("body too large".into());
     }
+    // Bytes already buffered came from within the header allowance;
+    // the stream may yield at most the body beyond them.
+    reader.get_mut().set_limit(content_length as u64);
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
@@ -164,5 +173,99 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+}
+
+/// Property suites over arbitrary and byte-corrupted request bytes: the
+/// framing must answer every input with a request or an error, never a
+/// panic or a hang.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use proptest::prelude::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const VALID: &str =
+        "POST /jobs?x=1 HTTP/1.1\r\nHost: a\r\nContent-Length: 17\r\n\r\n{\"kernel\":\"fir\"}\n";
+
+    /// Parses `bytes` on a helper thread: a panic or a parse still
+    /// running after five seconds fails the property.
+    fn parse(bytes: Vec<u8>) -> Result<Request, String> {
+        let (tx, rx) = mpsc::channel();
+        let shown = String::from_utf8_lossy(&bytes[..bytes.len().min(80)]).into_owned();
+        std::thread::spawn(move || {
+            let _ = tx.send(read_request(bytes.as_slice()));
+        });
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(result) => result,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("read_request hung on {shown:?}"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("read_request panicked on {shown:?}")
+            }
+        }
+    }
+
+    /// `VALID` with `edits` applied as (position, byte) overwrites, then
+    /// cut to `keep` bytes.
+    fn corrupt(edits: &[(usize, u8)], keep: usize) -> Vec<u8> {
+        let mut bytes = VALID.as_bytes().to_vec();
+        for &(at, b) in edits {
+            let n = bytes.len();
+            bytes[at % n] = b;
+        }
+        bytes.truncate(keep);
+        bytes
+    }
+
+    #[test]
+    fn the_uncorrupted_request_parses() {
+        let req = parse(VALID.as_bytes().to_vec()).expect("valid request");
+        assert_eq!(req.body, "{\"kernel\":\"fir\"}\n");
+    }
+
+    #[test]
+    fn a_header_block_cut_short_is_an_error() {
+        // A stream that ends before the blank line is not a complete,
+        // bodiless request.
+        let err = parse(b"POST /jobs HTTP/1.1\r\nContent-Le".to_vec()).unwrap_err();
+        assert!(err.contains("blank line"), "{err}");
+    }
+
+    #[test]
+    fn an_endless_header_line_is_refused_within_bounds() {
+        // A request line with no newline is cut off at the header
+        // allowance, not buffered whole.
+        let mut bytes = b"GET /".to_vec();
+        bytes.resize(4 * MAX_HEADER_BYTES, b'a');
+        let err = parse(bytes).unwrap_err();
+        assert!(err.contains("too large"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            if let Ok(req) = parse(bytes) {
+                prop_assert!(!req.method.is_empty());
+                prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+
+        #[test]
+        fn corrupted_requests_never_panic(
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+            keep in 0usize..96,
+        ) {
+            let _ = parse(corrupt(&edits, keep));
+        }
+
+        #[test]
+        fn truncated_requests_are_errors(keep in 0usize..73) {
+            // Every strict prefix of VALID (73 bytes) lacks part of the
+            // header block or of the promised body.
+            prop_assert!(parse(corrupt(&[], keep)).is_err());
+        }
     }
 }

@@ -1,10 +1,38 @@
 //! Service metrics: lock-free counters plus a latency reservoir, the
 //! source of the `/stats` endpoint's queue depth, cache hit rate, retry
 //! counts and per-job latency percentiles.
+//!
+//! The reservoir is a fixed ring of the [`LATENCY_WINDOW`] most recent
+//! completions, so a long-running service holds bounded memory and a
+//! `/stats` call sorts at most that many samples, once.
 
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// How many of the most recent successful attempts the `/stats`
+/// latency percentiles cover.
+pub const LATENCY_WINDOW: usize = 4096;
+
+/// The latency reservoir: the last [`LATENCY_WINDOW`] samples, oldest
+/// overwritten first.
+#[derive(Default)]
+struct LatencyRing {
+    samples: Vec<f64>,
+    /// Slot the next sample goes to once the ring is full.
+    next: usize,
+}
+
+impl LatencyRing {
+    fn push(&mut self, seconds: f64) {
+        if self.samples.len() < LATENCY_WINDOW {
+            self.samples.push(seconds);
+        } else {
+            self.samples[self.next] = seconds;
+        }
+        self.next = (self.next + 1) % LATENCY_WINDOW;
+    }
+}
 
 /// Monotonic counters and completed-job latencies.
 #[derive(Default)]
@@ -36,10 +64,8 @@ pub struct Metrics {
     pub workers_replaced: AtomicU64,
     /// Journal records dropped as corrupt/truncated during replay.
     pub journal_dropped: AtomicU64,
-    /// Wall-clock seconds of each successful attempt, keyed for
-    /// percentile queries. Unbounded in principle; in practice the
-    /// service runs bounded batches (and 8 bytes/job is cheap).
-    latencies: Mutex<Vec<f64>>,
+    /// Wall-clock seconds of the most recent successful attempts.
+    latencies: Mutex<LatencyRing>,
 }
 
 fn get(c: &AtomicU64) -> u64 {
@@ -60,17 +86,23 @@ impl Metrics {
             .push(seconds);
     }
 
-    /// The `q`-quantile (0..=1) of recorded latencies in milliseconds
-    /// (nearest-rank), or 0 with no observations.
-    pub fn latency_ms(&self, q: f64) -> f64 {
-        let lat = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        if lat.is_empty() {
-            return 0.0;
+    /// The number of latencies in the window, and the `qs`-quantiles
+    /// (0..=1, nearest-rank) of them in milliseconds, all taken from one
+    /// sorted copy; the quantiles are 0 with no observations.
+    pub fn latency_ms<const N: usize>(&self, qs: [f64; N]) -> (usize, [f64; N]) {
+        let mut sorted = self
+            .latencies
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .samples
+            .clone();
+        if sorted.is_empty() {
+            return (0, [0.0; N]);
         }
-        let mut sorted = lat.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1] * 1000.0
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let at = |q: f64| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1] * 1000.0;
+        (n, qs.map(at))
     }
 
     /// Cache hit rate over all lookups so far (0 with no lookups).
@@ -87,11 +119,7 @@ impl Metrics {
     /// The `/stats` JSON body (queue depth and worker count are owned by
     /// the server and passed in).
     pub fn snapshot(&self, queue_depth: usize, workers: usize, draining: bool) -> Value {
-        let count = self
-            .latencies
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len();
+        let (count, [p50, p90, p99]) = self.latency_ms([0.50, 0.90, 0.99]);
         Value::Object(vec![
             ("queue_depth".into(), Value::UInt(queue_depth as u64)),
             ("workers".into(), Value::UInt(workers as u64)),
@@ -131,9 +159,9 @@ impl Metrics {
                 "latency_ms".into(),
                 Value::Object(vec![
                     ("count".into(), Value::UInt(count as u64)),
-                    ("p50".into(), Value::Float(self.latency_ms(0.50))),
-                    ("p90".into(), Value::Float(self.latency_ms(0.90))),
-                    ("p99".into(), Value::Float(self.latency_ms(0.99))),
+                    ("p50".into(), Value::Float(p50)),
+                    ("p90".into(), Value::Float(p90)),
+                    ("p99".into(), Value::Float(p99)),
                 ]),
             ),
         ])
@@ -150,9 +178,30 @@ mod tests {
         for v in [0.010, 0.020, 0.030, 0.040] {
             m.record_latency(v);
         }
-        assert!((m.latency_ms(0.50) - 20.0).abs() < 1e-9);
-        assert!((m.latency_ms(0.99) - 40.0).abs() < 1e-9);
-        assert_eq!(Metrics::default().latency_ms(0.5), 0.0);
+        let (count, [p50, p99]) = m.latency_ms([0.50, 0.99]);
+        assert_eq!(count, 4);
+        assert!((p50 - 20.0).abs() < 1e-9);
+        assert!((p99 - 40.0).abs() < 1e-9);
+        assert_eq!(Metrics::default().latency_ms([0.5]), (0, [0.0]));
+    }
+
+    #[test]
+    fn reservoir_is_a_bounded_window_of_recent_latencies() {
+        let m = Metrics::default();
+        // A first generation of slow jobs, then a full window of fast
+        // ones: the slow ones must age out entirely.
+        for _ in 0..LATENCY_WINDOW / 2 {
+            m.record_latency(10.0);
+        }
+        for k in 0..LATENCY_WINDOW {
+            m.record_latency(0.001 * (1 + k % 4) as f64);
+        }
+        assert_eq!(m.latencies.lock().unwrap().samples.len(), LATENCY_WINDOW);
+        let (count, [p50, p99, max]) = m.latency_ms([0.5, 0.99, 1.0]);
+        assert_eq!(count, LATENCY_WINDOW);
+        assert!((p50 - 2.0).abs() < 1e-9, "p50 {p50}");
+        assert!((p99 - 4.0).abs() < 1e-9, "p99 {p99}");
+        assert!((max - 4.0).abs() < 1e-9, "old samples leaked: max {max}");
     }
 
     #[test]

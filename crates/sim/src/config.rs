@@ -5,39 +5,9 @@ use regshare_isa::{OpClass, MAX_HARTS};
 use regshare_mem::HierarchyConfig;
 use serde::{Deserialize, Serialize};
 
-/// Which order the issue stage considers operand-ready micro-ops in
-/// (the [`crate::IssueSelect`] implementation to instantiate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IssuePolicyKind {
-    /// Oldest (lowest sequence number) first — the classic age-ordered
-    /// select matrix, and the behaviour the paper's results assume.
-    #[default]
-    OldestFirst,
-    /// Youngest first — a deliberately adversarial select order that
-    /// exercises dependence tracking under maximal reordering.
-    YoungestFirst,
-}
-
-/// How mis-speculation recovery is charged (the
-/// [`crate::RecoveryPolicy`] implementation to instantiate). Both
-/// policies restore identical architectural state; they differ only in
-/// the extra redirect cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RecoveryPolicyKind {
-    /// Walk the rename checkpoints youngest-first and charge
-    /// `SimConfig::recover_bandwidth` shadow-cell recover commands per
-    /// cycle (§IV-C1) — the paper's model and the default.
-    #[default]
-    CheckpointWalk,
-    /// Squash-all: a flash restore of every shadow cell inside the
-    /// redirect bubble, charging no extra cycles — the idealised
-    /// checkpoint-RAM recovery conventional cores approximate.
-    SquashAll,
-}
-
 /// Which hardware thread gets the fetch stage each cycle when several
-/// are resident (the [`crate::FetchPolicy`] implementation to
-/// instantiate). Irrelevant — and byte-identical — with one thread.
+/// are resident ([`FetchPolicyKind::pick`]). Irrelevant — and
+/// byte-identical — with one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FetchPolicyKind {
     /// Rotate through the threads cycle by cycle, skipping ineligible
@@ -99,12 +69,10 @@ pub struct SimConfig {
     pub mispredict_penalty: u32,
     /// Fixed cost of entering/leaving an exception handler.
     pub exception_penalty: u32,
-    /// Shadow-cell recover commands executed per recovery cycle.
+    /// Shadow-cell recover commands executed per recovery cycle: a
+    /// recovery's checkpoint walk adds one redirect cycle per
+    /// `recover_bandwidth` commands (§IV-C1).
     pub recover_bandwidth: u32,
-    /// Issue-stage selection order.
-    pub issue_policy: IssuePolicyKind,
-    /// Mis-speculation recovery timing model.
-    pub recovery_policy: RecoveryPolicyKind,
     /// Functional-unit pools.
     pub fus: Vec<(OpClass, FuConfig)>,
     /// Branch predictor configuration.
@@ -131,14 +99,9 @@ pub struct SimConfig {
     pub inject_page_faults: Vec<u64>,
     /// Record per-micro-op stage timestamps (dispatch/issue/writeback/
     /// commit), retrievable with `Pipeline::take_trace`. Capped at
-    /// 100 000 events to bound memory.
+    /// [`crate::TRACE_CAP`] events to bound memory; `Pipeline::trace_dropped`
+    /// counts the events past the cap.
     pub trace: bool,
-    /// Attribute host wall-clock time to pipeline stages (the
-    /// [`crate::StageProfile`] in the report). Reads the host clock per
-    /// stage per cycle, so it is off by default; the deterministic
-    /// per-stage work counters are always on regardless.
-    #[serde(default)]
-    pub profile: bool,
 }
 
 impl Default for SimConfig {
@@ -159,8 +122,6 @@ impl Default for SimConfig {
             mispredict_penalty: 15,
             exception_penalty: 40,
             recover_bandwidth: 4,
-            issue_policy: IssuePolicyKind::default(),
-            recovery_policy: RecoveryPolicyKind::default(),
             fus: vec![
                 (
                     OpClass::IntAlu,
@@ -244,7 +205,6 @@ impl Default for SimConfig {
             audit_interval: 0,
             inject_page_faults: Vec::new(),
             trace: false,
-            profile: false,
         }
     }
 }
@@ -406,8 +366,10 @@ mod tests {
         reject(SimConfig::default().with_threads(0), "threads");
         reject(SimConfig::default().with_threads(MAX_HARTS + 1), "threads");
         reject(SimConfig::default().with_width(0), "fetch_width");
-        let mut c = SimConfig::default();
-        c.commit_width = 0;
+        let c = SimConfig {
+            commit_width: 0,
+            ..SimConfig::default()
+        };
         reject(c, "commit_width");
         let mut c = SimConfig::default().with_threads(4);
         c.rob_entries = 8;

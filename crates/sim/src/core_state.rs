@@ -24,6 +24,10 @@ use regshare_mem::MemoryHierarchy;
 use regshare_stats::Sampler;
 use std::collections::VecDeque;
 
+/// Most stage events one [`SimConfig::trace`] buffer holds; later
+/// events are counted, not recorded (`Pipeline::trace_dropped`).
+pub const TRACE_CAP: usize = 100_000;
+
 /// Tags an instruction or data address with a thread id so per-thread
 /// address spaces stay disjoint inside the shared branch predictor,
 /// caches and TLB. Thread 0 is the identity mapping, keeping
@@ -321,23 +325,33 @@ pub(crate) struct CoreState {
     pub(crate) fp_occupancy: Vec<Sampler>,
     /// Reused buffer for the periodic occupancy readout.
     pub(crate) occupancy_scratch: Vec<usize>,
+    /// Recorded stage events, at most [`TRACE_CAP`] of them.
     pub(crate) trace: Vec<TraceEvent>,
+    /// Stage events not recorded because `trace` was full.
+    pub(crate) trace_dropped: u64,
     /// Host wall-clock time accumulated across `run` calls.
     pub(crate) wall_seconds: f64,
-    /// Per-stage cost attribution: deterministic work counters (always
-    /// on) plus host-time laps when [`SimConfig::profile`] is set.
+    /// Deterministic per-stage work counters.
     pub(crate) profile: StageProfile,
 }
 
 impl CoreState {
-    pub(crate) fn trace_event(&mut self, seq: u64, pc: u64, stage: TraceStage) {
-        if self.config.trace && self.trace.len() < 100_000 {
+    /// Records a stage event of thread `tid` when tracing is on; past
+    /// [`TRACE_CAP`] held events it only counts the drop.
+    pub(crate) fn trace_event(&mut self, tid: usize, seq: u64, pc: u64, stage: TraceStage) {
+        if !self.config.trace {
+            return;
+        }
+        if self.trace.len() < TRACE_CAP {
             self.trace.push(TraceEvent {
                 cycle: self.cycle,
+                tid,
                 seq,
                 pc,
                 stage,
             });
+        } else {
+            self.trace_dropped += 1;
         }
     }
 
@@ -761,8 +775,9 @@ impl CoreState {
     pub(crate) fn schedule(&mut self, seq: u64, latency: u32) {
         self.renamer.on_operands_read(seq);
         if self.config.trace {
-            if let Some(pc) = self.rob_entry(seq).map(|e| e.pc) {
-                self.trace_event(seq, pc, TraceStage::Issue);
+            if let Some((tid, idx)) = self.rob_find(seq) {
+                let pc = self.threads[tid].rob[idx].pc;
+                self.trace_event(tid, seq, pc, TraceStage::Issue);
             }
         }
         self.completions

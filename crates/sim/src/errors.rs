@@ -236,6 +236,8 @@ impl fmt::Display for PipelineSnapshot {
 pub struct TraceEvent {
     /// Cycle the event happened on.
     pub cycle: u64,
+    /// Hardware thread the micro-op belongs to.
+    pub tid: usize,
     /// Micro-op sequence number.
     pub seq: u64,
     /// Instruction index.

@@ -13,8 +13,6 @@ use crate::cancel::{CancelToken, CANCEL_CHECK_INTERVAL};
 use crate::core_state::{CoreState, RobEntry, SeqSet, StageIo, ThreadCtx};
 use crate::errors::{PipelineSnapshot, SimError, TraceEvent};
 use crate::inject::{InjectSchedule, InjectState, InjectStats};
-use crate::policy::RecoveryPolicy;
-use crate::profile::{StageSlot, StageTimer};
 use crate::recovery;
 use crate::rob::Rob;
 use crate::stages::{
@@ -50,7 +48,6 @@ pub struct Pipeline {
     execute: ExecuteStage,
     writeback: WritebackStage,
     commit: CommitStage,
-    recovery: Box<dyn RecoveryPolicy>,
     cancel: Option<CancelToken>,
     /// A configuration rejected by [`SimConfig::validate`] at
     /// construction; surfaced as the run's error before any cycle is
@@ -61,9 +58,7 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Creates a single-thread pipeline at the program entry with cold
-    /// caches and predictors. The issue-selection, fetch and recovery
-    /// policies are built from [`SimConfig::issue_policy`] /
-    /// [`SimConfig::fetch_policy`] / [`SimConfig::recovery_policy`].
+    /// caches and predictors.
     ///
     /// An invalid configuration (see [`SimConfig::validate`]) is not a
     /// panic: the error is held and returned by the first `run` call.
@@ -207,9 +202,6 @@ impl Pipeline {
         if let Some(h) = inits[0].program.hints() {
             renamer.install_hints(h);
         }
-        let issue_select = config.issue_policy.build();
-        let fetch_policy = config.fetch_policy.build();
-        let recovery = config.recovery_policy.build();
         let rf = [
             RegFile::new(renamer.banks(RegClass::Int)),
             RegFile::new(renamer.banks(RegClass::Fp)),
@@ -278,21 +270,21 @@ impl Pipeline {
             fp_occupancy,
             occupancy_scratch: Vec::new(),
             trace: Vec::new(),
+            trace_dropped: 0,
             wall_seconds: 0.0,
             profile: Default::default(),
         };
         let iq_entries = core.config.iq_entries;
         Pipeline {
             lat: (0..n).map(|_| StageIo::default()).collect(),
-            fetch: FetchStage::new(fetch_policy, n),
+            fetch: FetchStage::new(n),
             decode: DecodeStage,
             rename: RenameStage::new(n),
             dispatch: DispatchStage,
-            issue: IssueStage::new(issue_select, iq_entries),
+            issue: IssueStage::new(iq_entries),
             execute: ExecuteStage,
             writeback: WritebackStage,
             commit: CommitStage,
-            recovery,
             cancel: None,
             config_error: None,
             core,
@@ -313,6 +305,14 @@ impl Pipeline {
     /// was set).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.core.trace)
+    }
+
+    /// Stage events not recorded so far because the trace buffer held
+    /// [`crate::TRACE_CAP`] events (0 unless [`SimConfig::trace`] was
+    /// set). Draining with [`Pipeline::take_trace`] makes room again; the
+    /// count is not reset.
+    pub fn trace_dropped(&self) -> u64 {
+        self.core.trace_dropped
     }
 
     // ---- diagnostics / fault injection ----
@@ -349,19 +349,12 @@ impl Pipeline {
     /// Runs one cycle, ticking the stages oldest-first so each stage
     /// sees the machine state its position in the pipe implies.
     fn step(&mut self) -> Result<(), SimError> {
-        let policy = self.recovery.as_ref();
-        let mut timer = StageTimer::start(self.core.config.profile);
-        recovery::poll_injections(&mut self.core, &mut self.lat, policy);
-        timer.lap(&mut self.core.profile, StageSlot::Housekeeping);
-        let halted =
-            self.commit.tick(&mut self.core, &mut self.lat, policy)? == StageOutcome::Halted;
-        timer.lap(&mut self.core.profile, StageSlot::Commit);
-        if halted {
+        recovery::poll_injections(&mut self.core, &mut self.lat);
+        if self.commit.tick(&mut self.core, &mut self.lat)? == StageOutcome::Halted {
             return Ok(());
         }
-        self.writeback.tick(&mut self.core, &mut self.lat, policy)?;
-        timer.lap(&mut self.core.profile, StageSlot::Writeback);
-        recovery::deliver_pending_interrupt(&mut self.core, &mut self.lat, policy);
+        self.writeback.tick(&mut self.core, &mut self.lat)?;
+        recovery::deliver_pending_interrupt(&mut self.core, &mut self.lat);
         self.core.check_recovery_boundary(&self.lat)?;
         for tid in 0..self.core.threads.len() {
             let ctx = &self.core.threads[tid];
@@ -372,20 +365,14 @@ impl Pipeline {
             let hart = ctx.hart;
             self.core.renamer.advance_nonspeculative_on(hart, boundary);
         }
-        timer.lap(&mut self.core.profile, StageSlot::Housekeeping);
         self.issue
             .tick(&mut self.core, &mut self.lat, &mut self.execute)?;
-        timer.lap(&mut self.core.profile, StageSlot::Issue);
         self.rename
             .tick(&mut self.core, &mut self.lat, &mut self.dispatch);
-        timer.lap(&mut self.core.profile, StageSlot::Rename);
         self.decode.tick(&mut self.core, &mut self.lat);
-        timer.lap(&mut self.core.profile, StageSlot::Decode);
         self.fetch.tick(&mut self.core, &mut self.lat);
-        timer.lap(&mut self.core.profile, StageSlot::Fetch);
         self.core.audit_if_due(&self.lat)?;
         self.core.sample_occupancy();
-        timer.lap(&mut self.core.profile, StageSlot::Observe);
         self.core.cycle += 1;
         Ok(())
     }
@@ -802,6 +789,54 @@ mod trace_tests {
         assert!(issue_mul >= wb_addi);
         // The trace is drained after take_trace.
         assert!(sim.take_trace().is_empty());
+    }
+
+    /// A counted loop of `iters` iterations (three instructions each).
+    fn counted_loop(iters: i64) -> regshare_isa::Program {
+        let mut a = Asm::new();
+        a.li(reg::x(1), iters);
+        let top = a.label();
+        a.bind(top);
+        a.addi(reg::x(2), reg::x(2), 3);
+        a.subi(reg::x(1), reg::x(1), 1);
+        a.bne(reg::x(1), reg::zero(), top);
+        a.halt();
+        a.assemble()
+    }
+
+    #[test]
+    fn trace_past_the_cap_counts_what_it_drops() {
+        let mut cfg = SimConfig::test();
+        cfg.trace = true;
+        let renamer = Box::new(BaselineRenamer::new(RenamerConfig::baseline(64)));
+        // ~36k committed micro-ops at four events each overflow the cap.
+        let mut sim = Pipeline::new(counted_loop(12_000), renamer, cfg);
+        sim.run().expect("run");
+        let dropped = sim.trace_dropped();
+        assert_eq!(sim.take_trace().len(), crate::TRACE_CAP);
+        assert!(dropped > 0, "a run past the cap must report drops");
+    }
+
+    #[test]
+    fn smt_trace_events_carry_their_thread() {
+        let mut cfg = SimConfig::test().with_threads(2);
+        cfg.trace = true;
+        let renamer = Box::new(BaselineRenamer::new(
+            RenamerConfig::baseline(96).with_threads(2),
+        ));
+        let programs = vec![counted_loop(40), counted_loop(60)];
+        let mut sim = Pipeline::new_smt(programs, renamer, cfg).expect("valid smt config");
+        sim.run().expect("run");
+        assert_eq!(sim.trace_dropped(), 0);
+        let trace = sim.take_trace();
+        for tid in 0..2 {
+            let commits = trace
+                .iter()
+                .filter(|e| e.tid == tid && e.stage == TraceStage::Commit)
+                .count();
+            assert!(commits > 0, "thread {tid} has no commit events");
+        }
+        assert!(trace.iter().all(|e| e.tid < 2));
     }
 
     #[test]

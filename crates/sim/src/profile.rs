@@ -1,24 +1,13 @@
-//! Cycle-attribution profiler: where does a detailed-mode host-second go?
-//!
-//! Two layers, deliberately separated:
-//!
-//! * **Work counters** — always on, deterministic, one `u64` increment
-//!   per unit of stage work (micro-ops fetched, renamed, issued, written
-//!   back, committed; recovery squashes). These cost nothing measurable
-//!   and are byte-identical across runs, so they can ship in every
-//!   report.
-//! * **Wall-clock attribution** — per-stage host nanoseconds, gathered
-//!   only when [`crate::SimConfig::profile`] is set. Timing the stages
-//!   reads the host clock eight times per cycle, so it is opt-in and its
-//!   numbers are excluded from golden outputs.
-//!
-//! `experiments profile` drives both layers and writes
-//! `results/profile.json`.
+//! Deterministic per-stage work counters: one `u64` increment per unit
+//! of stage work (micro-ops fetched, renamed, issued, written back,
+//! committed; recovery squashes). They are always on, cost nothing
+//! measurable, and are byte-identical across runs, so every report
+//! carries them. Host-time attribution lives outside the simulator, in
+//! the `perfbench` benchmark.
 
 use serde::Serialize;
-use std::time::Instant;
 
-/// The stage groups the cycle loop attributes time to, in tick order
+/// The stage groups the cycle loop attributes work to, in tick order
 /// (commit-first, matching `Pipeline::step`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -56,17 +45,12 @@ pub const STAGE_SLOT_NAMES: [&str; NUM_STAGE_SLOTS] = [
     "observe",
 ];
 
-/// Per-stage cost accounting for one simulation run.
+/// Per-stage work accounting for one simulation run.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct StageProfile {
-    /// Deterministic work units per stage (always on): micro-ops moved
-    /// through the stage, or events handled for the bookkeeping slots.
+    /// Deterministic work units per stage: micro-ops moved through the
+    /// stage, or events handled for the bookkeeping slots.
     pub work: [u64; NUM_STAGE_SLOTS],
-    /// Host nanoseconds per stage; all zero unless
-    /// [`crate::SimConfig::profile`] was set.
-    pub nanos: [u64; NUM_STAGE_SLOTS],
-    /// Whether wall-clock attribution was enabled for this run.
-    pub timed: bool,
 }
 
 impl StageProfile {
@@ -75,82 +59,11 @@ impl StageProfile {
     pub fn add_work(&mut self, slot: StageSlot, n: u64) {
         self.work[slot as usize] += n;
     }
-
-    /// Total attributed host nanoseconds (0 when not timed).
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
-
-    /// The fraction of attributed time spent in `slot` (0 when not
-    /// timed).
-    pub fn share(&self, slot: StageSlot) -> f64 {
-        let total = self.total_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            self.nanos[slot as usize] as f64 / total as f64
-        }
-    }
-}
-
-/// A lap timer over the stage sequence of one cycle: created at the top
-/// of `Pipeline::step`, it charges the elapsed time since the previous
-/// lap to each slot. When disabled (the always-on configuration) it
-/// never reads the clock.
-pub struct StageTimer {
-    last: Option<Instant>,
-}
-
-impl StageTimer {
-    /// Starts the per-cycle timer; `enabled` is
-    /// [`crate::SimConfig::profile`].
-    #[inline(always)]
-    pub fn start(enabled: bool) -> Self {
-        StageTimer {
-            last: enabled.then(Instant::now), // det-lint: allow — opt-in profile mode only
-        }
-    }
-
-    /// Charges the time since the previous lap to `slot`.
-    #[inline(always)]
-    pub fn lap(&mut self, profile: &mut StageProfile, slot: StageSlot) {
-        if let Some(prev) = self.last {
-            let now = Instant::now(); // det-lint: allow — profile mode only
-            profile.nanos[slot as usize] += now.duration_since(prev).as_nanos() as u64;
-            self.last = Some(now);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_timer_records_nothing() {
-        let mut p = StageProfile::default();
-        let mut t = StageTimer::start(false);
-        t.lap(&mut p, StageSlot::Commit);
-        t.lap(&mut p, StageSlot::Fetch);
-        assert_eq!(p.total_nanos(), 0);
-        assert_eq!(p.share(StageSlot::Commit), 0.0);
-    }
-
-    #[test]
-    fn enabled_timer_attributes_to_slots() {
-        let mut p = StageProfile::default();
-        let mut t = StageTimer::start(true);
-        std::hint::black_box(vec![0u8; 4096]);
-        t.lap(&mut p, StageSlot::Commit);
-        std::hint::black_box(vec![0u8; 4096]);
-        t.lap(&mut p, StageSlot::Fetch);
-        assert!(p.nanos[StageSlot::Commit as usize] > 0 || p.nanos[StageSlot::Fetch as usize] > 0);
-        let total: f64 = [StageSlot::Commit, StageSlot::Fetch]
-            .into_iter()
-            .map(|s| p.share(s))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn work_counters_accumulate() {

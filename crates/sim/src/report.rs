@@ -65,8 +65,7 @@ pub struct SimReport {
     /// Instructions executed by the functional-warming fast path (0 for
     /// plain detailed runs).
     pub warm_instructions: u64,
-    /// Per-stage cost attribution: deterministic work counters always,
-    /// host-time shares when [`crate::SimConfig::profile`] was set.
+    /// Deterministic per-stage work counters.
     pub profile: crate::StageProfile,
 }
 

@@ -37,7 +37,7 @@ impl DispatchStage {
             if is_main && d.is_store() {
                 core.threads[tid].lsq.dispatch_store(uop.seq);
             }
-            core.trace_event(uop.seq, pc, TraceStage::Dispatch);
+            core.trace_event(tid, uop.seq, pc, TraceStage::Dispatch);
             // Register with the wakeup network: count the busy
             // sources and park on each; producers can only precede
             // consumers in rename order, so a tag observed ready

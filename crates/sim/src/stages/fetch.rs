@@ -1,26 +1,49 @@
 //! Fetch: follow predicted PCs through the real program image, one
 //! hardware thread per cycle.
 
+use crate::config::FetchPolicyKind;
 use crate::core_state::{tag_addr, CoreState, Fetched, StageIo};
-use crate::policy::FetchPolicy;
 use crate::profile::StageSlot;
 use crate::stages::StageOutcome;
 
-/// The fetch stage. Each cycle the configured [`FetchPolicy`] picks one
-/// eligible hardware thread (not halted, not redirect-stalled, fetch
+impl FetchPolicyKind {
+    /// Picks the thread to fetch for on `cycle`, or `None` when no
+    /// thread is eligible. `eligible` and `in_flight` (ROB partition plus
+    /// front-end latches) are indexed by thread id and always have the
+    /// same length. With one thread every policy fetches for thread 0
+    /// whenever it is eligible, keeping single-thread runs identical.
+    pub fn pick(self, cycle: u64, eligible: &[bool], in_flight: &[usize]) -> Option<usize> {
+        let n = eligible.len();
+        match self {
+            // Start the scan at `cycle % threads`; take the first
+            // eligible thread.
+            FetchPolicyKind::RoundRobin => (0..n)
+                .map(|k| (cycle as usize + k) % n)
+                .find(|&t| eligible[t]),
+            // The eligible thread with the fewest micro-ops in flight,
+            // ties toward the lowest thread id: threads blocked on
+            // long-latency misses accumulate in-flight work and yield
+            // fetch to faster ones.
+            FetchPolicyKind::Icount => (0..n)
+                .filter(|&t| eligible[t])
+                .min_by_key(|&t| (in_flight[t], t)),
+        }
+    }
+}
+
+/// The fetch stage. Each cycle the configured [`FetchPolicyKind`] picks
+/// one eligible hardware thread (not halted, not redirect-stalled, fetch
 /// queue has room); fetch then walks that thread's predicted path
 /// (gshare + BTB), honours i-cache miss latency, and deposits
 /// [`Fetched`] instructions into the thread's fetch → decode latch.
 pub(crate) struct FetchStage {
-    policy: Box<dyn FetchPolicy>,
     eligible: Vec<bool>,
     in_flight: Vec<usize>,
 }
 
 impl FetchStage {
-    pub(crate) fn new(policy: Box<dyn FetchPolicy>, threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         FetchStage {
-            policy,
             eligible: vec![false; threads],
             in_flight: vec![0; threads],
         }
@@ -34,8 +57,9 @@ impl FetchStage {
                 && lat[tid].fetched.len() < core.config.fetch_queue;
             self.in_flight[tid] = ctx.rob.len() + lat[tid].fetched.len() + lat[tid].decoded.len();
         }
-        let Some(tid) = self
-            .policy
+        let Some(tid) = core
+            .config
+            .fetch_policy
             .pick(core.cycle, &self.eligible, &self.in_flight)
         else {
             return StageOutcome::Ran;
@@ -110,5 +134,35 @@ impl FetchStage {
         }
         core.threads[tid].fetch_pc = Some(pc);
         StageOutcome::Ran
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_robin_rotates_and_skips_ineligible() {
+        let rr = FetchPolicyKind::RoundRobin;
+        let inflight = [0usize; 4];
+        assert_eq!(rr.pick(0, &[true, true, true, true], &inflight), Some(0));
+        assert_eq!(rr.pick(1, &[true, true, true, true], &inflight), Some(1));
+        assert_eq!(rr.pick(5, &[true, true, true, true], &inflight), Some(1));
+        assert_eq!(rr.pick(1, &[true, false, false, true], &inflight), Some(3));
+        assert_eq!(rr.pick(7, &[false, false, false, false], &inflight), None);
+        // Single thread: always thread 0 when eligible.
+        assert_eq!(rr.pick(123, &[true], &[9]), Some(0));
+        assert_eq!(rr.pick(124, &[false], &[9]), None);
+    }
+
+    #[test]
+    fn icount_prefers_emptiest_thread() {
+        let ic = FetchPolicyKind::Icount;
+        assert_eq!(ic.pick(0, &[true, true, true], &[5, 2, 9]), Some(1));
+        // Ties break toward the lowest thread id.
+        assert_eq!(ic.pick(0, &[true, true], &[4, 4]), Some(0));
+        // Ineligible threads never win, however empty.
+        assert_eq!(ic.pick(0, &[false, true], &[0, 100]), Some(1));
+        assert_eq!(ic.pick(0, &[false, false], &[0, 0]), None);
     }
 }

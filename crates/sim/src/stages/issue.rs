@@ -1,20 +1,19 @@
 //! Issue: select operand-ready micro-ops and send them to execute.
 
 use crate::core_state::{CoreState, StageIo};
-use crate::policy::IssueSelect;
 use crate::profile::StageSlot;
 use crate::stages::{ExecuteStage, StageOutcome};
 use crate::SimError;
 
-/// The issue stage. Orders the ready queue through the configured
-/// [`IssueSelect`] policy and drives [`ExecuteStage::try_execute`] per
-/// candidate, up to `issue_width` successes per cycle. Candidates that
-/// report a structural hazard (busy functional unit, store-set
-/// conflict, unresolved older store) stay in the ready queue and retry
-/// next cycle.
+/// The issue stage. Walks the ready queue oldest-first (lowest sequence
+/// number first — the age-ordered select the paper assumes) and drives
+/// [`ExecuteStage::try_execute`] per candidate, up to `issue_width`
+/// successes per cycle. Candidates that report a structural hazard
+/// (busy functional unit, store-set conflict, unresolved older store)
+/// stay in the ready queue and retry next cycle.
 pub(crate) struct IssueStage {
-    select: Box<dyn IssueSelect>,
-    /// Scratch buffer reused across cycles for the candidate order.
+    /// Scratch copy of the ready queue, reused across cycles: execution
+    /// mutates the core, so the walk cannot borrow `ready_q` itself.
     cand_scratch: Vec<u64>,
     /// Scratch buffer reused across cycles for this cycle's issues.
     issued_scratch: Vec<u64>,
@@ -25,9 +24,8 @@ impl IssueStage {
     /// drawn from the ready queue and the issued list from the
     /// candidates, so pre-sizing to the issue queue's capacity keeps
     /// the tick allocation-free from the first cycle.
-    pub(crate) fn new(select: Box<dyn IssueSelect>, iq_entries: usize) -> Self {
+    pub(crate) fn new(iq_entries: usize) -> Self {
         IssueStage {
-            select,
             cand_scratch: Vec::with_capacity(iq_entries),
             issued_scratch: Vec::with_capacity(iq_entries),
         }
@@ -46,7 +44,7 @@ impl IssueStage {
         issued.clear();
         let mut candidates = std::mem::take(&mut self.cand_scratch);
         candidates.clear();
-        self.select.select(core.ready_q.as_slice(), &mut candidates);
+        candidates.extend_from_slice(core.ready_q.as_slice());
         for seq in candidates.drain(..) {
             if issued.len() >= core.config.issue_width {
                 break;

@@ -2,12 +2,11 @@
 //! the stages are isolated modules: commit-stage exception ordering,
 //! issue-stage wakeup on the writeback cycle, rename-stage stalls when
 //! the in-flight rename records exhaust the free list — plus the
-//! config-selected issue/recovery policy integrations and the per-bank
-//! occupancy audit.
+//! checkpoint-walk recovery cost and the per-bank occupancy audit.
 
 use regshare_core::{BaselineRenamer, Renamer, RenamerConfig, ReuseRenamer};
 use regshare_isa::{reg, Asm, Program, RegClass};
-use regshare_sim::{IssuePolicyKind, Pipeline, RecoveryPolicyKind, SimConfig, TraceStage};
+use regshare_sim::{Pipeline, SimConfig, TraceStage};
 
 fn baseline(regs: usize) -> Box<dyn Renamer> {
     Box::new(BaselineRenamer::new(RenamerConfig::baseline(regs)))
@@ -45,57 +44,34 @@ fn branchy_program(iters: i64) -> Program {
 }
 
 // ---------------------------------------------------------------------
-// Config-selected policies (IssuePolicyKind / RecoveryPolicyKind).
+// Recovery cost: the checkpoint walk (§IV-C1).
 // ---------------------------------------------------------------------
 
 #[test]
-fn youngest_first_issue_runs_oracle_clean() {
-    let mut oldest_cfg = SimConfig::test();
-    oldest_cfg.issue_policy = IssuePolicyKind::OldestFirst;
-    let mut youngest_cfg = SimConfig::test();
-    youngest_cfg.issue_policy = IssuePolicyKind::YoungestFirst;
-
-    let mut oldest = Pipeline::new(branchy_program(300), baseline(64), oldest_cfg);
-    let mut youngest = Pipeline::new(branchy_program(300), baseline(64), youngest_cfg);
-    let ro = oldest.run().expect("oldest-first run");
-    let ry = youngest.run().expect("youngest-first run");
-
-    // The select order may only reshuffle timing; the lockstep oracle
-    // has already verified every committed instruction, and both runs
-    // must retire the identical program.
-    assert!(ro.halted && ry.halted);
-    assert_eq!(ro.committed_instructions, ry.committed_instructions);
-    assert_eq!(ro.committed_uops, ry.committed_uops);
-}
-
-#[test]
-fn squash_all_recovery_matches_architecture_and_is_no_slower() {
-    let mut walk_cfg = SimConfig::test();
-    walk_cfg.recovery_policy = RecoveryPolicyKind::CheckpointWalk;
-    let mut squash_cfg = SimConfig::test();
-    squash_cfg.recovery_policy = RecoveryPolicyKind::SquashAll;
+fn recover_bandwidth_prices_the_checkpoint_walk_only() {
+    let mut narrow_cfg = SimConfig::test();
+    narrow_cfg.recover_bandwidth = 1;
+    let mut wide_cfg = SimConfig::test();
+    wide_cfg.recover_bandwidth = 64;
 
     // The proposed renamer issues shadow-cell recover commands on every
-    // mispredict recovery, which is exactly what the two policies
-    // charge differently.
-    let mut walk = Pipeline::new(branchy_program(400), proposed(64), walk_cfg);
-    let mut squash = Pipeline::new(branchy_program(400), proposed(64), squash_cfg);
-    let rw = walk.run().expect("checkpoint-walk run");
-    let rs = squash.run().expect("squash-all run");
+    // mispredict recovery; the bandwidth only prices draining them.
+    let mut narrow = Pipeline::new(branchy_program(400), proposed(64), narrow_cfg);
+    let mut wide = Pipeline::new(branchy_program(400), proposed(64), wide_cfg);
+    let rn = narrow.run().expect("narrow-walk run");
+    let rw = wide.run().expect("wide-walk run");
 
-    assert!(rw.halted && rs.halted);
-    assert!(rw.mispredicts > 0, "program must mispredict to compare");
-    assert_eq!(rw.committed_instructions, rs.committed_instructions);
-    // Identical architectural restore on both policies.
-    assert_eq!(rw.shadow_recovers, rs.shadow_recovers);
-    assert!(rw.shadow_recovers > 0, "recovery machinery must engage");
-    // Squash-all charges zero extra redirect cycles, so it can never be
-    // slower than draining recover commands at recover_bandwidth/cycle.
+    assert!(rn.halted && rw.halted);
+    assert!(rn.mispredicts > 0, "program must mispredict to compare");
+    assert_eq!(rn.committed_instructions, rw.committed_instructions);
+    assert!(rn.shadow_recovers > 0, "recovery machinery must engage");
+    // A wider walk drains the same commands in fewer redirect cycles,
+    // so it can never be slower.
     assert!(
-        rs.cycles <= rw.cycles,
-        "squash-all ({}) slower than checkpoint-walk ({})",
-        rs.cycles,
-        rw.cycles
+        rw.cycles <= rn.cycles,
+        "bandwidth 64 ({}) slower than bandwidth 1 ({})",
+        rw.cycles,
+        rn.cycles
     );
 }
 

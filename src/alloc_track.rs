@@ -1,38 +1,28 @@
-//! A counting global allocator for heap-traffic attribution.
+//! A counting global allocator for heap-traffic checks.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation (and allocated byte) into process-wide atomics. Binaries
-//! opt in with `#[global_allocator]`; library code then reads the
-//! counters through [`allocations`] / [`allocated_bytes`] regardless of
-//! which binary installed it. Without an installed `CountingAlloc` the
-//! counters simply stay at zero.
+//! allocation into a process-wide atomic. Binaries opt in with
+//! `#[global_allocator]`; library code then reads the counter through
+//! [`allocations`] regardless of which binary installed it. Without an
+//! installed `CountingAlloc` the counter simply stays at zero.
 //!
-//! This is the measurement behind two artifacts:
+//! This is the measurement behind the zero-allocation regression test,
+//! which asserts that a warmed-up detailed-mode pipeline ticks without
+//! touching the heap.
 //!
-//! * `experiments profile` reports allocations per simulated kilocycle
-//!   per kernel (`results/profile.json`);
-//! * the zero-allocation regression test asserts that a warmed-up
-//!   detailed-mode pipeline ticks without touching the heap.
-//!
-//! The counters use relaxed atomics: they are totals, not an ordering
-//! protocol, and the two extra relaxed `fetch_add`s are noise next to
-//! the allocation itself.
+//! The counter uses relaxed atomics: it is a total, not an ordering
+//! protocol, and the extra relaxed `fetch_add` is noise next to the
+//! allocation itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Total heap allocations since process start (0 unless a
 /// [`CountingAlloc`] is installed as the global allocator).
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested from the heap since process start.
-pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 /// The counting allocator. Install with:
@@ -56,7 +46,6 @@ impl CountingAlloc {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -67,7 +56,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a fresh allocation from the hot loop's perspective.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -12,13 +12,6 @@
 
 use regshare::experiments::{die, registry, Args};
 
-// Count heap traffic so `experiments profile` can report allocations
-// per simulated kilocycle. Two relaxed atomic adds per allocation —
-// noise next to the allocation itself, and the steady-state hot loop
-// does not allocate at all.
-#[global_allocator]
-static ALLOC: regshare::CountingAlloc = regshare::CountingAlloc::new();
-
 fn parse_args() -> Args {
     let mut exps = Vec::new();
     let mut scale = 150_000u64;
@@ -110,11 +103,11 @@ fn parse_args() -> Args {
                      \x20                 [--port N] [--data-dir DIR]\n\
                      experiments: fig1 fig2 fig3 table1 table2 table3 fig9 fig10 fig10ec \
                      fig11 fig12 analyze hints ablate-counter ablate-predictor ablate-banks \
-                     ablate-speculation inject smt profile sample shape bench serve submit all\n\
+                     ablate-speculation inject smt sample shape serve submit all\n\
                      --campaigns/--seed/--kernels apply to the `inject` fault-injection \
                      sweep only\n\
                      --sample makes `all` run the two-speed sampled registry (sample, \
-                     shape, bench), the mode that scales to --scale 1000000000\n\
+                     shape), the mode that scales to --scale 1000000000\n\
                      --workers/--period/--warmup/--measure tune sampled runs\n\
                      `serve` runs the job service (--port to pin the bind port, \
                      --data-dir for journal+cache, --workers for pool size); `submit` \
@@ -149,16 +142,12 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let known = registry();
-    // The two-speed registry: everything that scales to 10⁹. Kept out of
-    // plain `all`, which promises bit-identical output across runs — the
-    // `bench` report's payload is wall-clock throughput.
-    let sampled = ["sample", "shape", "bench"];
+    // The two-speed registry: everything that scales to 10⁹. `all`
+    // runs it only under `--sample`.
+    let sampled = ["sample", "shape"];
     // The job service pair blocks on (or requires) a live listener, so
     // `all` never includes it either.
     let service = ["serve", "submit"];
-    // Host-time attribution: wall-clock payload like `bench`, but not
-    // part of the sampled trio — run it explicitly.
-    let wallclock = ["profile"];
     let selected: Vec<&str> = if args.exps.iter().any(|e| e == "all") {
         if args.sample {
             sampled.to_vec()
@@ -166,7 +155,7 @@ fn main() {
             known
                 .iter()
                 .map(|(n, _)| *n)
-                .filter(|n| !sampled.contains(n) && !service.contains(n) && !wallclock.contains(n))
+                .filter(|n| !sampled.contains(n) && !service.contains(n))
                 .collect()
         }
     } else {

@@ -13,7 +13,6 @@ mod ablate_counter;
 mod ablate_predictor;
 mod ablate_speculation;
 mod analyze;
-mod bench;
 mod common;
 mod fig1;
 mod fig10;
@@ -25,7 +24,6 @@ mod fig3;
 mod fig9;
 mod hints;
 mod inject;
-mod profile;
 mod sample;
 mod serve;
 mod shape;
@@ -68,15 +66,11 @@ pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
         ("ablate-banks", ablate_banks::run),
         ("inject", inject::run),
         ("smt", smt::run),
-        // Host-time attribution: wall-clock payload, so `all` skips it
-        // (same contract as `bench`).
-        ("profile", profile::run),
         // Two-speed engine: the sampled registry `all --sample` runs.
         ("sample", sample::run),
         ("shape", shape::run),
-        ("bench", bench::run),
         // Job service: `serve` blocks on a listener and `submit` talks
-        // to one, so `all` skips both (like the sampled trio).
+        // to one, so `all` skips both (like the sampled pair).
         ("serve", serve::run),
         ("submit", submit::run),
     ]

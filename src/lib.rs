@@ -11,7 +11,7 @@
 //!
 //! This facade crate re-exports the workspace libraries and provides the
 //! [`harness`] used by the examples, the experiment binary and the
-//! criterion benches.
+//! `perfbench` benchmark.
 //!
 //! # Quickstart
 //!

@@ -38,12 +38,11 @@ fn steady_state_tick_never_allocates() {
             .unwrap_or_else(|| panic!("kernel {name} missing from the sweep"));
         let mut cfg = experiment_config(SCALE);
         // Audits walk the ROB and free lists with scratch storage and
-        // are off the hot path by design; the oracle/trace/profile
-        // layers are opt-in. None of them belong in this measurement.
+        // are off the hot path by design; the oracle and trace layers
+        // are opt-in. None of them belong in this measurement.
         cfg.audit_interval = 0;
         cfg.check_oracle = false;
         cfg.trace = false;
-        cfg.profile = false;
         let renamer = renamer_for(Scheme::Proposed, 64, swept_class(kernel.suite));
         let mut sim = Pipeline::new(kernel.program(SCALE), renamer, cfg);
         sim.run_cycles(WARMUP_CYCLES)
