@@ -244,12 +244,6 @@ impl Cfg {
         self.has_indirect
     }
 
-    /// Immediate dominators: `idom(b)` for every block, `None` for the
-    /// entry block and for blocks unreachable from the entry.
-    pub fn idoms(&self) -> &[Option<usize>] {
-        &self.idom
-    }
-
     /// True when the CFG edge `from → to` is a loop back edge (the
     /// target dominates the source). On irreducible regions — which the
     /// conservative `jalr`-to-everywhere edges create — some retreating

@@ -99,15 +99,6 @@ impl Classification {
             })
             .count()
     }
-
-    /// Fraction of sites classified [`SiteClass::Unknown`] (0 when the
-    /// program has no sites).
-    pub fn unknown_fraction(&self) -> f64 {
-        if self.sites.is_empty() {
-            return 0.0;
-        }
-        self.count(SiteClass::Unknown) as f64 / self.sites.len() as f64
-    }
 }
 
 /// Classifies every definition site in the reachable part of the

@@ -54,9 +54,6 @@ pub struct BaselineRenamer {
     /// Reused squash-outcome storage (`recovers` stays empty: the
     /// baseline never shares registers, so no recover commands).
     squash: SquashOutcome,
-    /// Bumped by every mutating entry point except a failed rename; see
-    /// [`Renamer::state_epoch`].
-    epoch: u64,
 }
 
 impl BaselineRenamer {
@@ -73,7 +70,6 @@ impl BaselineRenamer {
             t: RenameTables::new(config, |_, _| {}),
             records: (0..threads).map(|_| CheckpointStack::new()).collect(),
             squash: SquashOutcome::default(),
-            epoch: 0,
         }
     }
 
@@ -165,9 +161,7 @@ impl Renamer for BaselineRenamer {
         let h = hart.index();
         let record = self.records[h].commit_front(seq);
         for d in [record.dst, record.dst2].into_iter().flatten() {
-            // Release-on-commit: the redefined mapping dies here. A freed
-            // register is what a stalled rename waits for.
-            self.epoch += 1;
+            // Release-on-commit: the redefined mapping dies here.
             let class = d.old_map.class;
             self.t.free[class.index()].free(d.old_map.preg, self.t.config.banks(class));
             self.t.stats.releases += 1;
@@ -178,7 +172,6 @@ impl Renamer for BaselineRenamer {
 
     fn squash_after_on(&mut self, hart: HartId, seq: u64) -> &SquashOutcome {
         let h = hart.index();
-        self.epoch += 1;
         self.squash.undone = 0;
         while let Some(record) = self.records[h].pop_younger(seq) {
             for d in [record.dst2, record.dst].into_iter().flatten() {
@@ -190,16 +183,6 @@ impl Renamer for BaselineRenamer {
             self.t.stats.squashed += 1;
         }
         &self.squash
-    }
-
-    fn state_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn note_stall_on(&mut self, _hart: HartId) {
-        // A failed baseline rename rolls back fully; only the stall
-        // counter survives the attempt.
-        self.t.stats.stalls += 1;
     }
 
     fn stats(&self) -> &RenameStats {

@@ -104,9 +104,6 @@ pub struct EarlyReleaseRenamer {
     /// Reused squash-outcome storage (`recovers` stays empty: without
     /// version sharing there are no shadow-cell recover commands).
     squash: SquashOutcome,
-    /// Bumped by every mutating entry point except a failed rename; see
-    /// [`Renamer::state_epoch`].
-    epoch: u64,
 }
 
 impl EarlyReleaseRenamer {
@@ -161,7 +158,6 @@ impl EarlyReleaseRenamer {
             ns_boundary: 0,
             stats: RenameStats::new(),
             squash: SquashOutcome::default(),
-            epoch: 0,
         }
     }
 
@@ -181,8 +177,6 @@ impl EarlyReleaseRenamer {
     }
 
     fn free_released(&mut self, p: PendingRelease) {
-        // A freed register is what a stalled rename waits for.
-        self.epoch += 1;
         self.free[p.class.index()].free(p.preg, self.config.banks(p.class));
         self.stats.releases += 1;
         self.stats.chain_lengths.record(0);
@@ -381,7 +375,6 @@ impl Renamer for EarlyReleaseRenamer {
     }
 
     fn squash_after_on(&mut self, _hart: HartId, seq: u64) -> &SquashOutcome {
-        self.epoch += 1;
         self.squash.undone = 0;
         while let Some(record) = self.records.back() {
             if record.seq <= seq {
@@ -464,16 +457,6 @@ impl Renamer for EarlyReleaseRenamer {
                 self.blocked_releases.push(p);
             }
         }
-    }
-
-    fn state_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn note_stall_on(&mut self, _hart: HartId) {
-        // A failed early-release rename rolls back fully; only the stall
-        // counter survives the attempt.
-        self.stats.stalls += 1;
     }
 
     fn stats(&self) -> &RenameStats {

@@ -133,12 +133,7 @@ impl RenamerConfig {
         RenamerConfig {
             int_banks: banks.clone(),
             fp_banks: banks,
-            counter_bits: 2,
-            predictor_entries: 512,
-            predictor_bits: 2,
-            speculative_reuse: true,
-            hint_policy: HintPolicy::DynamicOnly,
-            threads: 1,
+            ..Self::baseline(baseline_regs)
         }
     }
 
@@ -149,12 +144,8 @@ impl RenamerConfig {
         RenamerConfig {
             int_banks: banks.clone(),
             fp_banks: banks,
-            counter_bits: 2,
             predictor_entries: 64,
-            predictor_bits: 2,
-            speculative_reuse: true,
-            hint_policy: HintPolicy::DynamicOnly,
-            threads: 1,
+            ..Self::baseline(40)
         }
     }
 
@@ -169,6 +160,16 @@ impl RenamerConfig {
     /// The version saturation value (`2^counter_bits − 1`).
     pub fn max_version(&self) -> u8 {
         (1u8 << self.counter_bits.min(3)) - 1
+    }
+
+    /// The same configuration with `banks` as the layout of one class's
+    /// register file; the other class keeps its layout.
+    pub fn with_banks(mut self, class: RegClass, banks: BankConfig) -> Self {
+        match class {
+            RegClass::Int => self.int_banks = banks,
+            RegClass::Fp => self.fp_banks = banks,
+        }
+        self
     }
 
     /// The same configuration resized for `threads` hardware contexts.
@@ -417,27 +418,6 @@ pub trait Renamer {
         self.squash_after_on(HartId::ZERO, seq)
     }
 
-    /// A counter that advances whenever renamer state changes through any
-    /// entry point other than a failed [`Renamer::rename`] — commit,
-    /// squash, read/writeback notifications, the non-speculative
-    /// boundary. Renaming is a deterministic function of renamer state
-    /// and the instruction, so while the epoch stands still a stalled
-    /// rename would only fail again, identically; the rename stage uses
-    /// this to skip such retries and charge [`Renamer::note_stall`]
-    /// instead of re-running the full rename.
-    fn state_epoch(&self) -> u64;
-
-    /// Records one gated retry cycle of `hart`'s stalled rename without
-    /// re-running it. Applies exactly the statistics deltas the skipped
-    /// (identical) failed attempt would have applied, so gated and
-    /// ungated runs produce byte-identical reports.
-    fn note_stall_on(&mut self, hart: HartId);
-
-    /// [`Renamer::note_stall_on`] for hart 0.
-    fn note_stall(&mut self) {
-        self.note_stall_on(HartId::ZERO)
-    }
-
     /// Statistics accumulated so far.
     fn stats(&self) -> &RenameStats;
 
@@ -591,5 +571,12 @@ mod tests {
         let c = RenamerConfig::baseline(48);
         assert_eq!(c.banks(RegClass::Int).total(), 48);
         assert_eq!(c.banks(RegClass::Fp).total(), 48);
+    }
+
+    #[test]
+    fn with_banks_replaces_one_class() {
+        let c = RenamerConfig::baseline(128).with_banks(RegClass::Fp, BankConfig::paper_row(64));
+        assert_eq!(c.fp_banks, BankConfig::paper_row(64));
+        assert_eq!(c.int_banks, BankConfig::conventional(128));
     }
 }

@@ -10,7 +10,7 @@ use regshare_isa::{ArchReg, DefSlot, HartId, Inst, RegClass, ShareHint, ShareHin
 mod audit;
 mod types;
 
-use types::{DstAction, PregMeta, Record, SpecDecision, SpecSource, StallDelta};
+use types::{DstAction, PregMeta, Record, SpecDecision, SpecSource};
 
 pub use audit::CorruptKind;
 
@@ -63,14 +63,6 @@ pub struct ReuseRenamer {
     /// Reused squash-outcome storage: cleared and refilled by every
     /// `squash_after`, so steady-state squashes never allocate.
     squash: SquashOutcome,
-    /// Bumped by every mutating entry point except a failed rename; see
-    /// [`Renamer::state_epoch`].
-    epoch: u64,
-    /// Counter deltas of each thread's most recent failed rename,
-    /// replayed by [`Renamer::note_stall_on`] for gated retries. Per
-    /// thread because another thread's successful rename between the
-    /// stall and its retry must not swap in the wrong delta.
-    stall_delta: Vec<StallDelta>,
 }
 
 impl ReuseRenamer {
@@ -107,8 +99,6 @@ impl ReuseRenamer {
             hints: None,
             hint_stats: HintStats::default(),
             squash: SquashOutcome::default(),
-            epoch: 0,
-            stall_delta: vec![StallDelta::default(); threads],
         }
     }
 
@@ -190,11 +180,6 @@ impl ReuseRenamer {
     }
 
     fn release(&mut self, class: RegClass, preg: PhysReg) {
-        // A release is the only commit-side event a stalled rename can
-        // observe: the free list gains a register and the predictors
-        // train. Everything else commit touches (retirement map, mapping
-        // counts, the record queue) is invisible to a rename attempt.
-        self.epoch += 1;
         let ci = class.index();
         self.t.free[ci].free(preg, self.t.config.banks(class));
         let meta = self.meta[ci][preg.0 as usize];
@@ -334,7 +319,6 @@ impl Renamer for ReuseRenamer {
 
     fn rename_on(&mut self, hart: HartId, seq: u64, pc: u64, inst: &Inst) -> Option<UopVec> {
         let h = hart.index();
-        let before = StallDelta::capture(&self.t.stats, &self.hint_stats);
         let mut uops = UopVec::new();
         // Repair records staged in Phase A (one per repaired source); the
         // main record is built at the end. Inline — renaming must never
@@ -662,10 +646,6 @@ impl Renamer for ReuseRenamer {
             scratch.clear();
             self.squash.recovers = scratch;
             self.t.stats.stalls += 1;
-            // Remember what this attempt added to the counters: until the
-            // epoch advances, every retry would add exactly the same.
-            self.stall_delta[h] =
-                StallDelta::capture(&self.t.stats, &self.hint_stats).since(&before);
             return None;
         }
 
@@ -760,7 +740,6 @@ impl Renamer for ReuseRenamer {
 
     fn squash_after_on(&mut self, hart: HartId, seq: u64) -> &SquashOutcome {
         let h = hart.index();
-        self.epoch += 1;
         let mut recovers = std::mem::take(&mut self.squash.recovers);
         recovers.clear();
         let mut undone = 0;
@@ -771,24 +750,6 @@ impl Renamer for ReuseRenamer {
         }
         self.squash = SquashOutcome { undone, recovers };
         &self.squash
-    }
-
-    fn state_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn note_stall_on(&mut self, hart: HartId) {
-        let d = self.stall_delta[hart.index()];
-        self.t.stats.reuses += d.reuses;
-        self.t.stats.safe_reuses += d.safe_reuses;
-        self.t.stats.speculative_reuses += d.speculative_reuses;
-        self.t.stats.allocations += d.allocations;
-        self.hint_stats.static_allocs += d.static_allocs;
-        self.hint_stats.dynamic_allocs += d.dynamic_allocs;
-        self.hint_stats.static_speculations += d.static_speculations;
-        self.hint_stats.dynamic_speculations += d.dynamic_speculations;
-        self.hint_stats.static_denials += d.static_denials;
-        self.t.stats.stalls += 1;
     }
 
     fn stats(&self) -> &RenameStats {
@@ -836,7 +797,6 @@ impl Renamer for ReuseRenamer {
         predictor: &RegTypePredictor,
         single_use: &SingleUsePredictor,
     ) {
-        self.epoch += 1;
         self.predictor = predictor.clone();
         self.predictor.reset_stats();
         self.single_use = single_use.clone();
@@ -844,7 +804,6 @@ impl Renamer for ReuseRenamer {
     }
 
     fn install_hints(&mut self, hints: &ShareHintTable) {
-        self.epoch += 1;
         self.hints = Some(hints.clone());
     }
 

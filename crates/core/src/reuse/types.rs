@@ -1,9 +1,8 @@
 //! Supporting value types of the sharing renamer: per-register
-//! allocation metadata, speculative-reuse decisions, the in-flight
-//! rename record, and the stall-replay counter delta.
+//! allocation metadata, speculative-reuse decisions and the in-flight
+//! rename record.
 
 use crate::rename_common::{ReadMarks, SeqRecord};
-use crate::renamer::{HintStats, RenameStats};
 use crate::TaggedReg;
 use regshare_isa::{ArchReg, ShareHint};
 
@@ -24,7 +23,7 @@ pub(super) struct PregMeta {
     /// False for the initial architectural mappings (no allocating PC).
     pub(super) has_entry: bool,
     /// The bank was chosen by a static hint rather than the type
-    /// predictor; release feedback then goes to [`HintStats`] instead of
+    /// predictor; release feedback then goes to [`HintStats`](crate::HintStats) instead of
     /// the predictor.
     pub(super) static_bank: bool,
     /// For each version created by a *speculative* (non-redefining)
@@ -54,7 +53,7 @@ pub(super) enum SpecSource {
 pub(super) enum SpecDecision {
     Grant(SpecSource),
     /// Denied by an exact static proof (`NoReuse`/`Multi`) — counted in
-    /// [`HintStats::static_denials`].
+    /// [`HintStats::static_denials`](crate::HintStats::static_denials).
     DenyStatic,
     /// Denied without a static proof (predictor said no, or the policy
     /// has no grounds to speculate).
@@ -92,56 +91,5 @@ pub(super) struct Record {
 impl SeqRecord for Record {
     fn seq(&self) -> u64 {
         self.seq
-    }
-}
-
-/// The statistics a failed rename attempt leaves behind: the stall
-/// rollback restores every table, but the attempt's counters stand —
-/// hardware counts attempted work, and a reuse taken in Phase C is a
-/// reuse even when Phase D then stalls the instruction. While the
-/// [`Renamer::state_epoch`] is unchanged a retry is bit-identical to the
-/// recorded attempt, so [`Renamer::note_stall`] replays this delta
-/// instead of re-running the rename.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct StallDelta {
-    pub(super) reuses: u64,
-    pub(super) safe_reuses: u64,
-    pub(super) speculative_reuses: u64,
-    pub(super) allocations: u64,
-    pub(super) static_allocs: u64,
-    pub(super) dynamic_allocs: u64,
-    pub(super) static_speculations: u64,
-    pub(super) dynamic_speculations: u64,
-    pub(super) static_denials: u64,
-}
-
-impl StallDelta {
-    /// Snapshot of every counter a failed attempt can bump.
-    pub(super) fn capture(stats: &RenameStats, hints: &HintStats) -> Self {
-        StallDelta {
-            reuses: stats.reuses,
-            safe_reuses: stats.safe_reuses,
-            speculative_reuses: stats.speculative_reuses,
-            allocations: stats.allocations,
-            static_allocs: hints.static_allocs,
-            dynamic_allocs: hints.dynamic_allocs,
-            static_speculations: hints.static_speculations,
-            dynamic_speculations: hints.dynamic_speculations,
-            static_denials: hints.static_denials,
-        }
-    }
-
-    pub(super) fn since(&self, before: &StallDelta) -> Self {
-        StallDelta {
-            reuses: self.reuses - before.reuses,
-            safe_reuses: self.safe_reuses - before.safe_reuses,
-            speculative_reuses: self.speculative_reuses - before.speculative_reuses,
-            allocations: self.allocations - before.allocations,
-            static_allocs: self.static_allocs - before.static_allocs,
-            dynamic_allocs: self.dynamic_allocs - before.dynamic_allocs,
-            static_speculations: self.static_speculations - before.static_speculations,
-            dynamic_speculations: self.dynamic_speculations - before.dynamic_speculations,
-            static_denials: self.static_denials - before.static_denials,
-        }
     }
 }

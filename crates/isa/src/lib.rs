@@ -105,11 +105,6 @@ pub mod reg {
         x(super::reg_impl::ZERO_REG)
     }
 
-    /// The conventional stack-pointer register (`x29`).
-    pub fn sp() -> ArchReg {
-        x(29)
-    }
-
     /// The conventional link register (`x30`).
     pub fn lr() -> ArchReg {
         x(30)

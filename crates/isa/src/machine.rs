@@ -173,11 +173,6 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable access to data memory (for tests and fault handlers).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// The program being executed.
     pub fn program(&self) -> &Program {
         &self.program

@@ -279,7 +279,7 @@ impl Pipeline {
             lat: (0..n).map(|_| StageIo::default()).collect(),
             fetch: FetchStage::new(n),
             decode: DecodeStage,
-            rename: RenameStage::new(n),
+            rename: RenameStage,
             dispatch: DispatchStage,
             issue: IssueStage::new(iq_entries),
             execute: ExecuteStage,

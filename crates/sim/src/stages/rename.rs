@@ -18,24 +18,13 @@ use crate::stages::{DispatchStage, StageOutcome, WORST_CASE_UOPS};
 /// visited in a rotation starting at `cycle % threads`: a thread that
 /// stalls (full partition, no free registers) yields the remaining
 /// budget to the next thread instead of wasting the slots.
+///
+/// A rename that finds no free register and no reuse stalls and simply
+/// retries the next cycle.
 #[derive(Debug, Default)]
-pub(crate) struct RenameStage {
-    /// Per-thread `(state_epoch, next_seq, pc)` of the last failed
-    /// rename. While all three stand still, nothing that could change
-    /// the rename's outcome has happened and the instruction is the
-    /// same, so the retry would fail identically — the stage charges
-    /// `note_stall` instead of re-running the scheme's full rename
-    /// machinery every stalled cycle.
-    stall_gates: Vec<Option<(u64, u64, u64)>>,
-}
+pub(crate) struct RenameStage;
 
 impl RenameStage {
-    pub(crate) fn new(threads: usize) -> Self {
-        RenameStage {
-            stall_gates: vec![None; threads],
-        }
-    }
-
     pub(crate) fn tick(
         &mut self,
         core: &mut CoreState,
@@ -67,19 +56,10 @@ impl RenameStage {
                 {
                     break;
                 }
-                if let Some((epoch, seq, pc)) = self.stall_gates[tid] {
-                    if epoch == core.renamer.state_epoch() && seq == core.next_seq && pc == f.pc {
-                        core.renamer.note_stall_on(hart);
-                        stalled_for_regs = true;
-                        break;
-                    }
-                }
                 let Some(uops) = core.renamer.rename_on(hart, core.next_seq, f.pc, &f.inst) else {
-                    self.stall_gates[tid] = Some((core.renamer.state_epoch(), core.next_seq, f.pc));
                     stalled_for_regs = true;
                     break;
                 };
-                self.stall_gates[tid] = None;
                 let f = lat[tid].decoded.pop_front().expect("front checked above");
                 core.next_seq += uops.len() as u64;
                 core.profile.add_work(StageSlot::Rename, uops.len() as u64);

@@ -112,6 +112,11 @@ pub fn all_kernels() -> Vec<Kernel> {
     kernels::all()
 }
 
+/// The built-in kernel called `name`, if there is one.
+pub fn kernel(name: &str) -> Option<Kernel> {
+    all_kernels().into_iter().find(|k| k.name == name)
+}
+
 /// The kernels of one suite.
 pub fn suite_kernels(suite: Suite) -> Vec<Kernel> {
     all_kernels()

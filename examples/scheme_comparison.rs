@@ -11,26 +11,11 @@
 //! cargo run --release --example scheme_comparison
 //! ```
 
-use regshare::core::{BankConfig, EarlyReleaseRenamer, Renamer, RenamerConfig};
-use regshare::harness::{experiment_config, renamer_for, swept_class, Scheme, FIXED_RF};
-use regshare::isa::RegClass;
+use regshare::core::EarlyReleaseRenamer;
+use regshare::harness::{experiment_config, renamer_config_for, renamer_for, swept_class, Scheme};
 use regshare::sim::Pipeline;
 use regshare::stats::{geomean, Table};
 use regshare::workloads::all_kernels;
-
-fn early(rf: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let swept_banks = BankConfig::conventional(rf);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    Box::new(EarlyReleaseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
-        ..RenamerConfig::baseline(rf)
-    }))
-}
 
 fn main() {
     let rf = 56;
@@ -64,8 +49,13 @@ fn main() {
             (r.ipc(), r.rename.reuse_fraction())
         };
         let er = {
-            let mut sim =
-                Pipeline::new(k.program(scale), early(rf, swept), experiment_config(scale));
+            // Early release at the baseline's register count.
+            let renamer = EarlyReleaseRenamer::new(renamer_config_for(Scheme::Baseline, rf, swept));
+            let mut sim = Pipeline::new(
+                k.program(scale),
+                Box::new(renamer),
+                experiment_config(scale),
+            );
             sim.run().expect("early release").ipc()
         };
         s_share.push(share / base);

@@ -7,168 +7,111 @@
 //!
 //! Each experiment prints its table and writes machine-readable rows to
 //! `results/<exp>.json`. The experiments themselves live in
-//! `regshare::experiments` (one module per subcommand); this binary only
-//! parses flags and dispatches through the registry.
+//! `regshare::experiments`; this binary only parses flags and runs what
+//! the registry selects.
 
-use regshare::experiments::{die, registry, Args};
+use regshare::experiments::{die, registry, select, Args, Group};
+use std::str::FromStr;
+
+/// The value after `flag`, or exit with a diagnostic.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
+/// The numeric value after `flag`, or exit with a diagnostic.
+fn number<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    value(it, flag, "a number")
+        .parse()
+        .unwrap_or_else(|_| die(&format!("{flag} needs a number")))
+}
+
+/// The registry names of one group, space-separated.
+fn group_names(group: Group) -> String {
+    let names: Vec<&str> = registry()
+        .iter()
+        .filter(|e| e.group == group)
+        .map(|e| e.name)
+        .collect();
+    names.join(" ")
+}
+
+fn usage() -> ! {
+    println!(
+        "usage: experiments [EXPERIMENT..] [--scale N] [--out DIR]\n\
+         \x20                 [--campaigns N] [--seed N] [--kernels a,b,c]\n\
+         \x20                 [--sample] [--workers N] [--period N] \
+         [--warmup N] [--measure N]\n\
+         \x20                 [--port N] [--data-dir DIR]\n\
+         `all` runs, in order: {}\n\
+         `all --sample` runs: {}\n\
+         job service (never in `all`): {}\n\
+         --campaigns/--seed/--kernels apply to the `inject` fault-injection \
+         sweep only\n\
+         --sample makes `all` run the two-speed sampled registry, the mode \
+         that scales to --scale 1000000000\n\
+         --workers/--period/--warmup/--measure tune sampled runs\n\
+         `serve` runs the job service (--port to pin the bind port, \
+         --data-dir for journal+cache, --workers for pool size); `submit` \
+         batches a sweep to a running service at --port and verifies the \
+         results against in-process runs",
+        group_names(Group::Paper),
+        group_names(Group::Sampled),
+        group_names(Group::Service),
+    );
+    std::process::exit(0);
+}
 
 fn parse_args() -> Args {
-    let mut exps = Vec::new();
-    let mut scale = 150_000u64;
-    let mut out_dir = "results".to_string();
-    let mut campaigns = 108usize;
-    let mut seed = 0xC0FFEEu64;
-    let mut kernels = None;
-    let mut sample = false;
-    let mut workers = None;
-    let mut period = None;
-    let mut warmup = None;
-    let mut measure = None;
-    let mut port = 0u16;
-    let mut data_dir = "results/serve".to_string();
+    let mut args = Args {
+        exps: Vec::new(),
+        scale: 150_000,
+        out_dir: "results".to_string(),
+        campaigns: 108,
+        seed: 0xC0FFEE,
+        kernels: None,
+        sample: false,
+        workers: None,
+        period: None,
+        warmup: None,
+        measure: None,
+        port: 0,
+        data_dir: "results/serve".to_string(),
+    };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
-            }
-            "--out" => {
-                out_dir = it.next().unwrap_or_else(|| die("--out needs a directory"));
-            }
-            "--campaigns" => {
-                campaigns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--campaigns needs a number"));
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
+            "--scale" => args.scale = number(&mut it, &a),
+            "--out" => args.out_dir = value(&mut it, &a, "a directory"),
+            "--campaigns" => args.campaigns = number(&mut it, &a),
+            "--seed" => args.seed = number(&mut it, &a),
             "--kernels" => {
-                let list = it.next().unwrap_or_else(|| die("--kernels needs a list"));
-                kernels = Some(list.split(',').map(str::to_string).collect());
+                let list = value(&mut it, &a, "a list");
+                args.kernels = Some(list.split(',').map(str::to_string).collect());
             }
-            "--sample" => sample = true,
-            "--workers" => {
-                workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--workers needs a number")),
-                );
-            }
-            "--period" => {
-                period = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--period needs a number")),
-                );
-            }
-            "--warmup" => {
-                warmup = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--warmup needs a number")),
-                );
-            }
-            "--measure" => {
-                measure = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--measure needs a number")),
-                );
-            }
-            "--port" => {
-                port = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--port needs a port number"));
-            }
-            "--data-dir" => {
-                data_dir = it
-                    .next()
-                    .unwrap_or_else(|| die("--data-dir needs a directory"));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: experiments [EXPERIMENT..] [--scale N] [--out DIR]\n\
-                     \x20                 [--campaigns N] [--seed N] [--kernels a,b,c]\n\
-                     \x20                 [--sample] [--workers N] [--period N] \
-                     [--warmup N] [--measure N]\n\
-                     \x20                 [--port N] [--data-dir DIR]\n\
-                     experiments: fig1 fig2 fig3 table1 table2 table3 fig9 fig10 fig10ec \
-                     fig11 fig12 analyze hints ablate-counter ablate-predictor ablate-banks \
-                     ablate-speculation inject smt sample shape serve submit all\n\
-                     --campaigns/--seed/--kernels apply to the `inject` fault-injection \
-                     sweep only\n\
-                     --sample makes `all` run the two-speed sampled registry (sample, \
-                     shape), the mode that scales to --scale 1000000000\n\
-                     --workers/--period/--warmup/--measure tune sampled runs\n\
-                     `serve` runs the job service (--port to pin the bind port, \
-                     --data-dir for journal+cache, --workers for pool size); `submit` \
-                     batches a sweep to a running service at --port and verifies the \
-                     results against in-process runs"
-                );
-                std::process::exit(0);
-            }
-            other => exps.push(other.to_string()),
+            "--sample" => args.sample = true,
+            "--workers" => args.workers = Some(number(&mut it, &a)),
+            "--period" => args.period = Some(number(&mut it, &a)),
+            "--warmup" => args.warmup = Some(number(&mut it, &a)),
+            "--measure" => args.measure = Some(number(&mut it, &a)),
+            "--port" => args.port = number(&mut it, &a),
+            "--data-dir" => args.data_dir = value(&mut it, &a, "a directory"),
+            "--help" | "-h" => usage(),
+            _ => args.exps.push(a),
         }
     }
-    if exps.is_empty() {
-        exps.push("all".into());
+    if args.exps.is_empty() {
+        args.exps.push("all".into());
     }
-    Args {
-        exps,
-        scale,
-        out_dir,
-        campaigns,
-        seed,
-        kernels,
-        sample,
-        workers,
-        period,
-        warmup,
-        measure,
-        port,
-        data_dir,
-    }
+    args
 }
 
 fn main() {
     let args = parse_args();
-    let known = registry();
-    // The two-speed registry: everything that scales to 10⁹. `all`
-    // runs it only under `--sample`.
-    let sampled = ["sample", "shape"];
-    // The job service pair blocks on (or requires) a live listener, so
-    // `all` never includes it either.
-    let service = ["serve", "submit"];
-    let selected: Vec<&str> = if args.exps.iter().any(|e| e == "all") {
-        if args.sample {
-            sampled.to_vec()
-        } else {
-            known
-                .iter()
-                .map(|(n, _)| *n)
-                .filter(|n| !sampled.contains(n) && !service.contains(n))
-                .collect()
-        }
-    } else {
-        args.exps.iter().map(String::as_str).collect()
-    };
-    for name in selected {
-        match known.iter().find(|(n, _)| *n == name) {
-            Some((_, f)) => {
-                if let Err(e) = f(&args) {
-                    die(&format!("{name}: {e}"));
-                }
-            }
-            None => die(&format!("unknown experiment: {name} (try --help)")),
+    let selected = select(&args.exps, args.sample).unwrap_or_else(|e| die(&e));
+    for exp in selected {
+        if let Err(e) = (exp.run)(&args) {
+            die(&format!("{}: {e}", exp.name));
         }
     }
 }

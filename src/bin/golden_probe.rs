@@ -1,10 +1,11 @@
 //! Prints golden (kernel, scheme) -> (cycles, committed) tuples for the
 //! determinism regression test. Dev tool; output is pasted into
-//! `tests/determinism.rs` (default mode) or `tests/width_golden.rs`
-//! (`width` mode: the superscalar-width sweep goldens).
+//! `tests/determinism.rs` (default mode) or `WIDTH_GOLDEN` in
+//! `tests/smt.rs` (`width` mode: the superscalar-width sweep goldens).
 
-use regshare::harness::{experiment_config, renamer_for, run_kernel, swept_class, Scheme};
-use regshare::sim::Pipeline;
+use regshare::harness::{
+    experiment_config, renamer_for, run_kernel, run_kernel_with, swept_class, Scheme,
+};
 use regshare::workloads::all_kernels;
 
 fn main() {
@@ -13,23 +14,17 @@ fn main() {
     let rf = 64;
     if width_mode {
         // The width sweep pins rename-width scaling behavior: widths
-        // 2/4/8 with issue_width = 2x and all other Table I parameters
-        // unchanged.
+        // 2/4/8 (see `SimConfig::with_width`) with all other Table I
+        // parameters unchanged.
         for kernel in all_kernels() {
             if !["saxpy", "fft", "hashjoin", "dct", "matmul", "sort"].contains(&kernel.name) {
                 continue;
             }
             for scheme in [Scheme::Baseline, Scheme::Proposed] {
                 for width in [2usize, 4, 8] {
-                    let mut cfg = experiment_config(scale);
-                    cfg.fetch_width = width;
-                    cfg.decode_width = width;
-                    cfg.rename_width = width;
-                    cfg.commit_width = width;
-                    cfg.issue_width = 2 * width;
+                    let cfg = experiment_config(scale).with_width(width);
                     let renamer = renamer_for(scheme, rf, swept_class(kernel.suite));
-                    let mut sim = Pipeline::new(kernel.program(scale), renamer, cfg);
-                    let r = sim.run().expect("width golden run");
+                    let r = run_kernel_with(&kernel, renamer, cfg, scale);
                     println!(
                         "    (\"{}\", Scheme::{:?}, {}, {}, {}),",
                         kernel.name, scheme, width, r.cycles, r.committed_instructions

@@ -9,12 +9,12 @@
 //! regsim --list
 //! ```
 
-use regshare::core::{BankConfig, HintPolicy, RenamerConfig, ReuseRenamer};
-use regshare::harness::{renamer_for, swept_class, Scheme, FIXED_RF};
+use regshare::core::{Renamer, ReuseRenamer};
+use regshare::harness::{equal_count_config, renamer_for, swept_class, Scheme};
 use regshare::isa::RegClass;
 use regshare::sim::{Pipeline, SimConfig};
 use regshare::workloads::synthetic::{generate, SyntheticConfig};
-use regshare::workloads::{all_kernels, Kernel};
+use regshare::workloads::{all_kernels, kernel};
 
 struct Options {
     kernel: Option<String>,
@@ -36,7 +36,7 @@ fn usage() -> ! {
         "usage: regsim [--kernel NAME | --file PROG.s | --synthetic] [options]\n\
          \n\
          workload:\n\
-           --kernel NAME      one of the 16 built-in kernels (see --list)\n\
+           --kernel NAME      one of the {} built-in kernels (see --list)\n\
            --file PATH        assemble and run a textual .s program\n\
            --synthetic        generated workload (see --bias/--seed)\n\
            --bias F           synthetic single-use bias, 0..1 (default 0.5)\n\
@@ -49,7 +49,8 @@ fn usage() -> ! {
            --equal-count      proposed scheme keeps the baseline's register count\n\
            --verify           lockstep-check every commit against the functional machine\n\
            --fault ADDR       inject a one-shot page fault at this data address\n\
-           --list             list the built-in kernels and exit"
+           --list             list the built-in kernels and exit",
+        all_kernels().len()
     );
     std::process::exit(0);
 }
@@ -111,28 +112,6 @@ fn parse() -> Options {
     o
 }
 
-fn build_renamer(o: &Options, scheme: Scheme, swept: RegClass) -> Box<dyn regshare::core::Renamer> {
-    if scheme == Scheme::Proposed && o.equal_count {
-        let swept_banks = BankConfig::new(vec![o.regs.saturating_sub(12), 4, 4, 4]);
-        let fixed = BankConfig::conventional(FIXED_RF);
-        let (int_banks, fp_banks) = match swept {
-            RegClass::Int => (swept_banks, fixed),
-            RegClass::Fp => (fixed, swept_banks),
-        };
-        return Box::new(ReuseRenamer::new(RenamerConfig {
-            int_banks,
-            fp_banks,
-            counter_bits: 2,
-            predictor_entries: 512,
-            predictor_bits: 2,
-            speculative_reuse: true,
-            hint_policy: HintPolicy::DynamicOnly,
-            threads: 1,
-        }));
-    }
-    renamer_for(scheme, o.regs, swept)
-}
-
 fn main() {
     let o = parse();
     if o.list {
@@ -167,8 +146,7 @@ fn main() {
         )
     } else {
         let name = o.kernel.clone().unwrap_or_else(|| usage());
-        let kernels = all_kernels();
-        let kernel: &Kernel = kernels.iter().find(|k| k.name == name).unwrap_or_else(|| {
+        let kernel = kernel(&name).unwrap_or_else(|| {
             eprintln!("error: unknown kernel {name} (try --list)");
             std::process::exit(2);
         });
@@ -197,7 +175,11 @@ fn main() {
 
     let mut ipcs = Vec::new();
     for scheme in schemes {
-        let renamer = build_renamer(&o, scheme, swept);
+        let renamer: Box<dyn Renamer> = if scheme == Scheme::Proposed && o.equal_count {
+            Box::new(ReuseRenamer::new(equal_count_config(o.regs, swept)))
+        } else {
+            renamer_for(scheme, o.regs, swept)
+        };
         let mut sim = Pipeline::new(program.clone(), renamer, config.clone());
         match sim.run() {
             Ok(report) => {

@@ -84,8 +84,8 @@ pub const DEFAULT_MEASURE: u64 = 10_000;
 
 /// Options shared by every experiment, parsed once by the CLI front end.
 pub struct Args {
-    /// Experiment names to run, in request order (`all` expands to the
-    /// full registry).
+    /// Experiment names to run, in request order (`all` expands to a
+    /// registry group; see [`super::select`]).
     pub exps: Vec<String>,
     /// Instruction budget per simulation point.
     pub scale: u64,
@@ -97,8 +97,8 @@ pub struct Args {
     pub seed: u64,
     /// Kernel subset for `inject` (`None` = all kernels).
     pub kernels: Option<Vec<String>>,
-    /// Run through the two-speed sampled engine (`all` then dispatches
-    /// the reduced sampled registry).
+    /// Run through the two-speed sampled engine (`all` then selects the
+    /// sampled group).
     pub sample: bool,
     /// Worker threads for time-parallel window slicing (`None` = one per
     /// core; results are identical either way).

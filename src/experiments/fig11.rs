@@ -2,9 +2,10 @@
 //! both proposed configurations, and the early-release comparator.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
-use super::sweeps::{early_release_renamer, equal_count_renamer};
+use crate::core::{EarlyReleaseRenamer, Renamer, ReuseRenamer};
 use crate::harness::{
-    experiment_config, par_map, run_kernel, run_kernel_with, swept_class, Scheme,
+    equal_count_config, experiment_config, par_map, renamer_config_for, run_kernel,
+    run_kernel_with, swept_class, Scheme,
 };
 use crate::stats::Table;
 use crate::workloads::all_kernels;
@@ -32,23 +33,18 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     // same order (identical floating-point sums) as the serial loop.
     let ipcs = par_map(&points, |&(rf, ref k)| {
         let swept = swept_class(k.suite);
+        let run = |r: Box<dyn Renamer>| {
+            run_kernel_with(k, r, experiment_config(args.scale), args.scale).ipc()
+        };
+        let equal_count = ReuseRenamer::new(equal_count_config(rf, swept));
+        // The Moudgill/Monreal-style early-release comparator (related
+        // work, §VII) at the baseline's register count.
+        let early = EarlyReleaseRenamer::new(renamer_config_for(Scheme::Baseline, rf, swept));
         (
             run_kernel(k, Scheme::Baseline, rf, args.scale).ipc(),
             run_kernel(k, Scheme::Proposed, rf, args.scale).ipc(),
-            run_kernel_with(
-                k,
-                equal_count_renamer(rf, swept),
-                experiment_config(args.scale),
-                args.scale,
-            )
-            .ipc(),
-            run_kernel_with(
-                k,
-                early_release_renamer(rf, swept),
-                experiment_config(args.scale),
-                args.scale,
-            )
-            .ipc(),
+            run(Box::new(equal_count)),
+            run(Box::new(early)),
         )
     });
     let mut rows = Vec::new();

@@ -2,8 +2,9 @@
 //! execution (fp suite).
 
 use super::common::{save, Args, ExpError};
-use crate::core::{BankConfig, HintPolicy, RenamerConfig, ReuseRenamer};
+use crate::core::{BankConfig, RenamerConfig, ReuseRenamer};
 use crate::harness::{experiment_config, par_map, run_kernel_with, FIXED_RF};
+use crate::isa::RegClass;
 use crate::stats::Table;
 use crate::workloads::{suite_kernels, Suite};
 use serde::Serialize;
@@ -20,23 +21,15 @@ struct Fig9Row {
 pub fn run(args: &Args) -> Result<(), ExpError> {
     println!("== Figure 9: shadow registers needed to cover % of execution (fp suite) ==");
     // Effectively unbounded shadow banks; sample bank occupancy per cycle.
-    let banks = BankConfig::new(vec![64, 48, 48, 48]);
+    let config = RenamerConfig::baseline(FIXED_RF)
+        .with_banks(RegClass::Fp, BankConfig::new(vec![64, 48, 48, 48]));
     let mut samplers: Vec<crate::stats::Sampler> = Vec::new();
     let kernels = suite_kernels(Suite::Fp);
     let occupancies = par_map(&kernels, |k| {
-        let config = RenamerConfig {
-            int_banks: BankConfig::conventional(FIXED_RF),
-            fp_banks: banks.clone(),
-            counter_bits: 2,
-            predictor_entries: 512,
-            predictor_bits: 2,
-            speculative_reuse: true,
-            hint_policy: HintPolicy::DynamicOnly,
-            threads: 1,
-        };
         let mut sim_cfg = experiment_config(args.scale);
         sim_cfg.occupancy_sample_interval = 16;
-        run_kernel_with(k, Box::new(ReuseRenamer::new(config)), sim_cfg, args.scale).fp_occupancy
+        let renamer = Box::new(ReuseRenamer::new(config.clone()));
+        run_kernel_with(k, renamer, sim_cfg, args.scale).fp_occupancy
     });
     // Merge in kernel order so the aggregated sample streams match the
     // serial sweep exactly.

@@ -21,7 +21,7 @@
 use super::common::{Args, ExpError};
 use crate::harness::{experiment_config, renamer_for, swept_class, Scheme};
 use crate::sim::{CancelToken, Pipeline, SimReport};
-use crate::workloads::{all_kernels, Kernel};
+use crate::workloads::{all_kernels, kernel, Kernel};
 use regshare_serve::{install_signal_handlers, JobExecutor, ServeConfig, Server};
 use serde::Value;
 use std::sync::atomic::AtomicBool;
@@ -38,13 +38,10 @@ pub const SIM_SERVICE_VERSION: &str = "regshare-sim-v1";
 pub struct SimExecutor;
 
 fn kernel_by_name(name: &str) -> Result<Kernel, String> {
-    all_kernels()
-        .into_iter()
-        .find(|k| k.name == name)
-        .ok_or_else(|| {
-            let known: Vec<&str> = all_kernels().iter().map(|k| k.name).collect();
-            format!("unknown kernel {name:?} (known: {})", known.join(", "))
-        })
+    kernel(name).ok_or_else(|| {
+        let known: Vec<&str> = all_kernels().iter().map(|k| k.name).collect();
+        format!("unknown kernel {name:?} (known: {})", known.join(", "))
+    })
 }
 
 fn scheme_by_name(name: &str) -> Result<Scheme, String> {

@@ -17,7 +17,7 @@ use crate::core::{BankConfig, BaselineRenamer, Renamer, RenamerConfig, ReuseRena
 use crate::harness::{par_map, Scheme};
 use crate::sim::{FetchPolicyKind, Pipeline, SimConfig, SimReport};
 use crate::stats::Table;
-use crate::workloads::{all_kernels, Kernel};
+use crate::workloads::kernel;
 use serde::Serialize;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -57,13 +57,6 @@ struct SmtFrontier {
     paper_rf_reduction_pct: f64,
     rows: Vec<SmtRow>,
     verdict: String,
-}
-
-fn kernel(name: &str) -> Kernel {
-    all_kernels()
-        .into_iter()
-        .find(|k| k.name == name)
-        .unwrap_or_else(|| panic!("smt mix kernel {name} is not in the workload suite"))
 }
 
 /// Equal-area bank split for the proposed scheme, floored so the shared
@@ -107,7 +100,11 @@ fn run_point(threads: usize, width: usize, scheme: Scheme, scale: u64) -> (usize
     };
     let programs = MIX[..threads]
         .iter()
-        .map(|name| kernel(name).program(scale))
+        .map(|name| {
+            kernel(name)
+                .expect("the SMT mix names built-in kernels")
+                .program(scale)
+        })
         .collect();
     let mut config = SimConfig::default().with_width(width).with_threads(threads);
     config.fetch_policy = if threads > 1 {

@@ -1,72 +1,40 @@
-//! The shared IPC-sweep harness and comparator renamers used by the
-//! figure 10/10-EC/11 subcommands.
+//! The IPC-sweep harness behind the `fig10` and `fig10ec` registry
+//! rows.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
-use crate::core::{
-    BankConfig, EarlyReleaseRenamer, HintPolicy, Renamer, RenamerConfig, ReuseRenamer,
-};
+use crate::core::ReuseRenamer;
 use crate::harness::{
-    experiment_config, par_map, run_kernel, run_kernel_with, swept_class, Scheme, FIXED_RF,
+    equal_count_config, experiment_config, par_map, run_kernel, run_kernel_with, swept_class,
+    Scheme,
 };
-use crate::isa::RegClass;
 use crate::stats::{geomean, Table};
 use crate::workloads::{all_kernels, Suite};
 use serde::Serialize;
 
 #[derive(Serialize)]
-pub(crate) struct SpeedupRow {
-    pub(crate) kernel: String,
-    pub(crate) suite: String,
-    pub(crate) rf_regs: usize,
-    pub(crate) baseline_ipc: f64,
-    pub(crate) proposed_ipc: f64,
-    pub(crate) speedup: f64,
-    pub(crate) reuse_pct: f64,
+struct SpeedupRow {
+    kernel: String,
+    suite: String,
+    rf_regs: usize,
+    baseline_ipc: f64,
+    proposed_ipc: f64,
+    speedup: f64,
+    reuse_pct: f64,
 }
 
-/// Proposed-scheme renamer at the same register *count* as the baseline
-/// (mechanism benefit without the equal-area discount).
-pub(crate) fn equal_count_renamer(rf_regs: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let swept_banks = BankConfig::new(vec![rf_regs - 12, 4, 4, 4]);
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
+/// The Fig. 10 sweep: every kernel at every size in [`RF_SIZES`],
+/// proposed over baseline IPC, written to `fig10.json`. `equal_count`
+/// swaps the equal-area proposed configuration for the
+/// equal-register-count one ([`equal_count_config`]) and writes
+/// `fig10ec.json` (Fig. 10-EC).
+pub(crate) fn speedup_sweep(args: &Args, equal_count: bool) -> Result<(), ExpError> {
+    let (name, title) = if equal_count {
+        let title = "== Figure 10-EC (extension): equal-register-count speedup vs baseline ==";
+        ("fig10ec", title)
+    } else {
+        let title = "== Figure 10: equal-area speedup vs baseline, per register file size ==";
+        ("fig10", title)
     };
-    Box::new(ReuseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
-        counter_bits: 2,
-        predictor_entries: 512,
-        predictor_bits: 2,
-        speculative_reuse: true,
-        hint_policy: HintPolicy::DynamicOnly,
-        threads: 1,
-    }))
-}
-
-/// The Moudgill/Monreal-style early-release comparator (related work,
-/// §VII) at the same register count as the baseline.
-pub(crate) fn early_release_renamer(rf_regs: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let swept_banks = BankConfig::conventional(rf_regs);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    Box::new(EarlyReleaseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
-        ..RenamerConfig::baseline(rf_regs)
-    }))
-}
-
-pub(crate) fn speedup_sweep(
-    args: &Args,
-    name: &str,
-    title: &str,
-    equal_count: bool,
-) -> Result<(), ExpError> {
     println!("{title}");
     // Every (kernel, size) point is independent; fan out across cores
     // and collect rows back in sweep order.
@@ -77,9 +45,10 @@ pub(crate) fn speedup_sweep(
     let rows: Vec<SpeedupRow> = par_map(&points, |&(ref k, rf)| {
         let base = run_kernel(k, Scheme::Baseline, rf, args.scale);
         let prop = if equal_count {
+            let renamer = ReuseRenamer::new(equal_count_config(rf, swept_class(k.suite)));
             run_kernel_with(
                 k,
-                equal_count_renamer(rf, swept_class(k.suite)),
+                Box::new(renamer),
                 experiment_config(args.scale),
                 args.scale,
             )
@@ -96,45 +65,30 @@ pub(crate) fn speedup_sweep(
             reuse_pct: prop.rename.reuse_fraction() * 100.0,
         }
     });
-    // Per-kernel table.
+    // Per-kernel rows, then per-suite and overall geomeans. `rows` is
+    // kernel-major, one chunk of RF_SIZES per kernel.
     let mut headers: Vec<String> = vec!["kernel".into(), "suite".into()];
     headers.extend(RF_SIZES.iter().map(|n| n.to_string()));
     let mut table = Table::new(headers);
     table.numeric();
-    for k in all_kernels() {
-        let mut cells = vec![k.name.to_string(), k.suite.label().to_string()];
-        for rf in RF_SIZES {
-            let r = rows
-                .iter()
-                .find(|r| r.kernel == k.name && r.rf_regs == rf)
-                .expect("row exists");
-            cells.push(format!("{:.3}", r.speedup));
-        }
+    for chunk in rows.chunks(RF_SIZES.len()) {
+        let mut cells = vec![chunk[0].kernel.clone(), chunk[0].suite.clone()];
+        cells.extend(chunk.iter().map(|r| format!("{:.3}", r.speedup)));
         table.row(cells);
     }
-    // Per-suite geomeans.
-    for suite in Suite::ALL {
-        let mut cells = vec!["GEOMEAN".to_string(), suite.label().to_string()];
+    let labels = Suite::ALL.iter().map(|s| s.label()).chain(["ALL"]);
+    for label in labels {
+        let mut cells = vec!["GEOMEAN".to_string(), label.to_string()];
         for rf in RF_SIZES {
             let vals: Vec<f64> = rows
                 .iter()
-                .filter(|r| r.suite == suite.label() && r.rf_regs == rf)
+                .filter(|r| (label == "ALL" || r.suite == label) && r.rf_regs == rf)
                 .map(|r| r.speedup)
                 .collect();
             cells.push(format!("{:.3}", geomean(&vals)));
         }
         table.row(cells);
     }
-    let mut cells = vec!["GEOMEAN".to_string(), "ALL".to_string()];
-    for rf in RF_SIZES {
-        let vals: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.rf_regs == rf)
-            .map(|r| r.speedup)
-            .collect();
-        cells.push(format!("{:.3}", geomean(&vals)));
-    }
-    table.row(cells);
     print!("{table}");
     save(&args.out_dir, name, &rows)
 }

@@ -43,9 +43,7 @@ pub mod harness {
     //! Shared experiment plumbing: build a renamer for a scheme, run a
     //! kernel through the timing simulator, and aggregate results.
 
-    use regshare_core::{
-        BankConfig, BaselineRenamer, HintPolicy, Renamer, RenamerConfig, ReuseRenamer,
-    };
+    use regshare_core::{BankConfig, BaselineRenamer, Renamer, RenamerConfig, ReuseRenamer};
     use regshare_isa::RegClass;
     use regshare_sim::{
         run_window, sample_windows, Pipeline, SampledConfig, SampledReport, SimConfig, SimReport,
@@ -170,29 +168,24 @@ pub mod harness {
 
     /// The renamer configuration for a scheme at a given
     /// *baseline-equivalent* size of the swept register file; the other
-    /// file stays at [`FIXED_RF`] registers. The proposed scheme gets the
-    /// Table III equal-area bank split for the swept file.
+    /// file stays at [`FIXED_RF`] registers and every other field at its
+    /// Table I value. The proposed scheme gets the Table III equal-area
+    /// bank split for the swept file.
     pub fn renamer_config_for(scheme: Scheme, rf_regs: usize, swept: RegClass) -> RenamerConfig {
-        let fixed = BankConfig::conventional(FIXED_RF);
-        let (swept_banks, template) = match scheme {
-            Scheme::Baseline => (
-                BankConfig::conventional(rf_regs),
-                RenamerConfig::baseline(rf_regs),
-            ),
-            Scheme::Proposed => (
-                BankConfig::paper_row(rf_regs),
-                RenamerConfig::paper(rf_regs),
-            ),
+        let banks = match scheme {
+            Scheme::Baseline => BankConfig::conventional(rf_regs),
+            Scheme::Proposed => BankConfig::paper_row(rf_regs),
         };
-        let (int_banks, fp_banks) = match swept {
-            RegClass::Int => (swept_banks, fixed),
-            RegClass::Fp => (fixed, swept_banks),
-        };
-        RenamerConfig {
-            int_banks,
-            fp_banks,
-            ..template
-        }
+        RenamerConfig::baseline(FIXED_RF).with_banks(swept, banks)
+    }
+
+    /// The proposed scheme at the same register *count* as a baseline of
+    /// `rf_regs` registers (Fig. 10-EC): the swept file keeps
+    /// `rf_regs − 12` conventional registers and 4/4/4 shadow-cell banks.
+    /// This measures the mechanism without the equal-area discount.
+    pub fn equal_count_config(rf_regs: usize, swept: RegClass) -> RenamerConfig {
+        let banks = BankConfig::new(vec![rf_regs.saturating_sub(12), 4, 4, 4]);
+        RenamerConfig::baseline(FIXED_RF).with_banks(swept, banks)
     }
 
     /// Builds the renamer for a scheme (see [`renamer_config_for`] for
@@ -203,22 +196,6 @@ pub mod harness {
             Scheme::Baseline => Box::new(BaselineRenamer::new(config)),
             Scheme::Proposed => Box::new(ReuseRenamer::new(config)),
         }
-    }
-
-    /// Builds a proposed-scheme renamer with an explicit bank layout
-    /// (used by the ablation studies).
-    pub fn proposed_with_banks(banks: BankConfig, counter_bits: u8) -> Box<dyn Renamer> {
-        let config = RenamerConfig {
-            int_banks: banks.clone(),
-            fp_banks: banks,
-            counter_bits,
-            predictor_entries: 512,
-            predictor_bits: 2,
-            speculative_reuse: true,
-            hint_policy: HintPolicy::DynamicOnly,
-            threads: 1,
-        };
-        Box::new(ReuseRenamer::new(config))
     }
 
     /// The simulator configuration used by all experiments: Table I
@@ -309,5 +286,39 @@ pub mod harness {
                 }
             })
         })
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn renamer_config_for_sizes_only_the_swept_file() {
+            for (swept, other) in [(RegClass::Int, RegClass::Fp), (RegClass::Fp, RegClass::Int)] {
+                for (scheme, swept_banks) in [
+                    (Scheme::Baseline, BankConfig::conventional(64)),
+                    (Scheme::Proposed, BankConfig::paper_row(64)),
+                ] {
+                    let c = renamer_config_for(scheme, 64, swept);
+                    assert_eq!(c.banks(swept), &swept_banks, "{scheme:?} {swept:?}");
+                    assert_eq!(c.banks(other), &BankConfig::conventional(FIXED_RF));
+                    // Every non-bank field keeps its Table I value.
+                    assert_eq!(c.counter_bits, 2);
+                    assert_eq!(c.predictor_entries, 512);
+                    assert_eq!(c.predictor_bits, 2);
+                    assert!(c.speculative_reuse);
+                    assert_eq!(c.hint_policy, regshare_core::HintPolicy::DynamicOnly);
+                    assert_eq!(c.threads, 1);
+                }
+            }
+        }
+
+        #[test]
+        fn equal_count_config_keeps_the_baseline_register_count() {
+            let c = equal_count_config(48, RegClass::Int);
+            assert_eq!(c.int_banks, BankConfig::new(vec![36, 4, 4, 4]));
+            assert_eq!(c.int_banks.total(), 48);
+            assert_eq!(c.fp_banks, BankConfig::conventional(FIXED_RF));
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! on every kernel (no exception injection — the scheme does not support
 //! precise exceptions, which is the paper's argument against it).
 
-use regshare::core::{BankConfig, EarlyReleaseRenamer, Renamer, RenamerConfig};
-use regshare::harness::{experiment_config, renamer_for, swept_class, Scheme, FIXED_RF};
+use regshare::core::{EarlyReleaseRenamer, Renamer};
+use regshare::harness::{experiment_config, renamer_config_for, renamer_for, swept_class, Scheme};
 use regshare::isa::RegClass;
 use regshare::sim::Pipeline;
 use regshare::workloads::{all_kernels, suite_kernels, Suite};
@@ -11,17 +11,11 @@ use regshare::workloads::{all_kernels, suite_kernels, Suite};
 const SCALE: u64 = 8_000;
 
 fn early_renamer(rf: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let swept_banks = BankConfig::conventional(rf);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    Box::new(EarlyReleaseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
-        ..RenamerConfig::baseline(rf)
-    }))
+    Box::new(EarlyReleaseRenamer::new(renamer_config_for(
+        Scheme::Baseline,
+        rf,
+        swept,
+    )))
 }
 
 #[test]

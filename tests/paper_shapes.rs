@@ -2,11 +2,10 @@
 //! the renamer, simulator or kernels breaks one of the reproduced results
 //! documented in EXPERIMENTS.md, these tests fail.
 
-use regshare::core::{BankConfig, HintPolicy, RenamerConfig, ReuseRenamer};
+use regshare::core::{BankConfig, ReuseRenamer};
 use regshare::harness::{
-    experiment_config, renamer_for, run_kernel, swept_class, Scheme, FIXED_RF,
+    equal_count_config, experiment_config, renamer_for, run_kernel, swept_class, Scheme,
 };
-use regshare::isa::RegClass;
 use regshare::sim::Pipeline;
 use regshare::stats::{geomean, mean};
 use regshare::workloads::{analysis, suite_kernels, Suite};
@@ -74,23 +73,9 @@ fn fig10ec_equal_count_wins_at_small_files() {
     for suite in [Suite::Int, Suite::Media] {
         for k in suite_kernels(suite) {
             let base = run_kernel(&k, Scheme::Baseline, 48, SIM_SCALE);
-            let swept = swept_class(k.suite);
-            let swept_banks = BankConfig::new(vec![36, 4, 4, 4]);
-            let fixed = BankConfig::conventional(FIXED_RF);
-            let (int_banks, fp_banks) = match swept {
-                RegClass::Int => (swept_banks, fixed),
-                RegClass::Fp => (fixed, swept_banks),
-            };
-            let renamer = Box::new(ReuseRenamer::new(RenamerConfig {
-                int_banks,
-                fp_banks,
-                counter_bits: 2,
-                predictor_entries: 512,
-                predictor_bits: 2,
-                speculative_reuse: true,
-                hint_policy: HintPolicy::DynamicOnly,
-                threads: 1,
-            }));
+            // 36/4/4/4: the proposed scheme at 48 registers, equal count.
+            let config = equal_count_config(48, swept_class(k.suite));
+            let renamer = Box::new(ReuseRenamer::new(config));
             let program = k.program(SIM_SCALE);
             let mut sim = Pipeline::new(program, renamer, experiment_config(SIM_SCALE));
             let prop = sim.run().expect("equal-count run");
