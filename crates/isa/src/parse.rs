@@ -89,9 +89,9 @@ fn parse_imm(line: usize, token: &str) -> Result<i64, ParseError> {
     } else {
         t.parse::<i64>()
     };
-    match value {
-        Ok(v) => Ok(if neg { -v } else { v }),
-        Err(_) => err(line, format!("expected an immediate, found `{token}`")),
+    match value.map(|v| if neg { v.checked_neg() } else { Some(v) }) {
+        Ok(Some(v)) => Ok(v),
+        _ => err(line, format!("expected an immediate, found `{token}`")),
     }
 }
 
@@ -180,12 +180,9 @@ fn split_operands(s: &str) -> Vec<String> {
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
     let mut asm = Asm::new();
     let mut data: Option<DataBuilder> = None;
-    let mut labels: HashMap<String, Label> = HashMap::new();
-    let mut label_of = |asm: &mut Asm, name: &str| -> Label {
-        *labels
-            .entry(name.to_string())
-            .or_insert_with(|| asm.label())
-    };
+    let mut labels = Labels::default();
+    // The line of a `.hint` still waiting for its instruction.
+    let mut pending_hint: Option<usize> = None;
 
     for (idx, raw) in source.lines().enumerate() {
         let line = idx + 1;
@@ -201,8 +198,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             if name.is_empty() || name.contains(char::is_whitespace) {
                 break;
             }
-            let label = label_of(&mut asm, name);
-            asm.bind(label);
+            labels.bind(&mut asm, name, line)?;
             rest = after[1..].trim();
         }
         if rest.is_empty() {
@@ -232,6 +228,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                     None => ShareHint::Unknown,
                 };
                 asm.hint_slots(primary, writeback);
+                pending_hint = Some(line);
                 continue;
             }
             let d = data.get_or_insert_with(|| DataBuilder::new(0x1_0000));
@@ -243,17 +240,21 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                 "u64" => {
                     for a in split_operands(args) {
                         let v = parse_imm(line, &a)?;
+                        room(line, d, 8)?;
                         d.u64(v as u64);
                     }
                 }
                 "f64" => {
                     for a in split_operands(args) {
                         let v = parse_f64(line, &a)?;
+                        room(line, d, 8)?;
                         d.f64(v);
                     }
                 }
                 "zeros" => {
-                    d.zeros(parse_imm(line, args)? as u64);
+                    let bytes = parse_imm(line, args)? as u64;
+                    room(line, d, bytes)?;
+                    d.zeros(bytes);
                 }
                 other => return err(line, format!("unknown directive .{other}")),
             }
@@ -408,7 +409,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
                 need(3)?;
                 let (s1, s2) = (r(0)?, r(1)?);
-                let target = label_of(&mut asm, ops[2].trim());
+                let target = labels.target(&mut asm, ops[2].trim(), line);
                 match mnemonic {
                     "beq" => asm.beq(s1, s2, target),
                     "bne" => asm.bne(s1, s2, target),
@@ -421,12 +422,12 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             }
             "jmp" => {
                 need(1)?;
-                let target = label_of(&mut asm, ops[0].trim());
+                let target = labels.target(&mut asm, ops[0].trim(), line);
                 asm.jmp(target);
             }
             "call" => {
                 need(1)?;
-                let target = label_of(&mut asm, ops[0].trim());
+                let target = labels.target(&mut asm, ops[0].trim(), line);
                 asm.call(target);
             }
             "ret" => {
@@ -443,16 +444,96 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             }
             other => return err(line, format!("unknown mnemonic `{other}`")),
         }
+        pending_hint = None;
     }
+    if let Some(line) = pending_hint {
+        return err(line, ".hint is not followed by an instruction");
+    }
+    let len = asm.here();
+    if len == 0 {
+        return err(0, "the program has no instructions");
+    }
+    labels.check_targets(len)?;
     if let Some(d) = data {
         asm.set_data(d.build());
     }
-    // `assemble` panics on unbound labels; give a proper error instead.
-    let unbound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| asm.assemble()));
-    unbound.map_err(|_| ParseError {
-        line: 0,
-        message: "a referenced label was never defined (or the program is empty)".into(),
-    })
+    Ok(asm.assemble())
+}
+
+/// The labels of one listing, keyed by name.
+#[derive(Default)]
+struct Labels(HashMap<String, LabelUse>);
+
+struct LabelUse {
+    label: Label,
+    /// First line naming it as a branch target.
+    first_target: Option<usize>,
+    /// Line and instruction index it was bound at.
+    bound: Option<(usize, u32)>,
+}
+
+impl Labels {
+    fn entry(&mut self, asm: &mut Asm, name: &str) -> &mut LabelUse {
+        self.0.entry(name.to_string()).or_insert_with(|| LabelUse {
+            label: asm.label(),
+            first_target: None,
+            bound: None,
+        })
+    }
+
+    /// The label `name`, used as a branch target on `line`.
+    fn target(&mut self, asm: &mut Asm, name: &str, line: usize) -> Label {
+        let l = self.entry(asm, name);
+        l.first_target.get_or_insert(line);
+        l.label
+    }
+
+    /// Binds `name` to the next instruction; a second definition is an
+    /// error.
+    fn bind(&mut self, asm: &mut Asm, name: &str, line: usize) -> Result<(), ParseError> {
+        let at = asm.here();
+        let l = self.entry(asm, name);
+        if let Some((first, _)) = l.bound {
+            return err(
+                line,
+                format!("label `{name}` is already defined on line {first}"),
+            );
+        }
+        l.bound = Some((line, at));
+        let label = l.label;
+        asm.bind(label);
+        Ok(())
+    }
+
+    /// Every branch target must mark one of the `len` instructions;
+    /// reports the first offending use in source order.
+    fn check_targets(&self, len: u32) -> Result<(), ParseError> {
+        let bad = self
+            .0
+            .iter()
+            .filter_map(|(name, l)| {
+                let line = l.first_target?;
+                match l.bound {
+                    Some((_, at)) if at < len => None,
+                    Some(_) => Some((line, name, "marks no instruction (nothing follows it)")),
+                    None => Some((line, name, "is never defined")),
+                }
+            })
+            .min();
+        match bad {
+            Some((line, name, what)) => err(line, format!("label `{name}` {what}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Errors unless the data cursor can advance by `bytes` without leaving
+/// the address space.
+fn room(line: usize, d: &DataBuilder, bytes: u64) -> Result<(), ParseError> {
+    match d.cursor().checked_add(bytes) {
+        Some(_) => Ok(()),
+        None => err(line, "data runs past the end of the address space"),
+    }
 }
 
 #[cfg(test)]
@@ -603,5 +684,191 @@ mod tests {
         let mut m = Machine::new(p);
         m.run(10).unwrap();
         assert_eq!(m.int_reg(reg::x(3)), 0);
+    }
+}
+
+/// Robustness fuzzing: the assembler must answer any text — arbitrary,
+/// a valid listing corrupted, or lines spliced from assembly tokens and
+/// extreme operands — with a program or a [`ParseError`], never a panic
+/// or a hang.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use proptest::prelude::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const VALID: &str = "\
+.data 0x2000
+.u64 1, 0x10, -3
+.f64 1.5, -2.0
+.zeros 16
+start:
+    li   x1, 0x2000
+    li   x2, 3
+loop: .hint single, multi
+    ld.post x3, [x1], 8
+    fld  f1, [x1-8]
+    add  x4, x4, x3
+    subi x2, x2, 1
+    bne  x2, xzr, loop
+    call done
+    halt
+done: ret
+";
+
+    /// Tokens the spliced lines draw from: mnemonics, directives,
+    /// operands and the extremes of every number form.
+    const TOKENS: &[&str] = &[
+        "li",
+        "add",
+        "addi",
+        "ld",
+        "st",
+        "ld.post",
+        "fli",
+        "bne",
+        "jmp",
+        "call",
+        "ret",
+        "halt",
+        "nop",
+        "fma",
+        ".data",
+        ".u64",
+        ".f64",
+        ".zeros",
+        ".hint",
+        "single",
+        "x1",
+        "x31",
+        "xzr",
+        "f0",
+        "f32",
+        "[x1]",
+        "[x1+8]",
+        "[x2-8]",
+        "[x1--1]",
+        "[",
+        "]",
+        ",",
+        ":",
+        "a:",
+        "a",
+        "b:",
+        ";",
+        "#",
+        "0",
+        "-1",
+        "0x10",
+        "-0x10",
+        "0x-1",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "--9223372036854775808",
+        "0x7fffffffffffffff",
+        "0x-8000000000000000",
+        "-0x-8000000000000000",
+        "0xffffffffffffffff",
+        "1e308",
+        "nan",
+    ];
+
+    /// Parses `source` on a helper thread: a panic or a parse still
+    /// running after five seconds fails the property.
+    fn parse(source: String) -> Result<Program, ParseError> {
+        let (tx, rx) = mpsc::channel();
+        let shown: String = source.chars().take(120).collect();
+        std::thread::spawn(move || {
+            let _ = tx.send(parse_program(&source));
+        });
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(result) => result,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("parse_program hung on {shown:?}"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("parse_program panicked on {shown:?}")
+            }
+        }
+    }
+
+    #[test]
+    fn the_uncorrupted_listing_parses() {
+        let p = parse(VALID.to_string()).expect("valid listing");
+        assert_eq!(p.len(), 10);
+    }
+
+    /// Inputs the fuzz suites found panicking, each now a parse error
+    /// on the right line.
+    #[test]
+    fn found_panics_are_errors() {
+        let cases = [
+            // A label bound twice tripped the assembler's assertion.
+            ("a: a: nop\nhalt\n", 1, "already defined"),
+            // Negating i64::MIN overflowed.
+            ("li x1, --9223372036854775808\nhalt\n", 1, "immediate"),
+            ("li x1, -0x-8000000000000000\nhalt\n", 1, "immediate"),
+            // The data cursor ran off the address space.
+            (".zeros -1\nhalt\n", 1, "address space"),
+            (".data -4\n.u64 1\nhalt\n", 2, "address space"),
+            // Assembler assertions the parser used to catch by unwinding.
+            ("nop\n.hint single\n", 2, "not followed"),
+            ("; nothing\n", 0, "no instructions"),
+            ("jmp end\nhalt\nend:\n", 1, "marks no instruction"),
+        ];
+        for (source, line, needle) in cases {
+            let e = parse(source.to_string()).unwrap_err();
+            assert_eq!(e.line, line, "{source:?}: {e}");
+            assert!(e.message.contains(needle), "{source:?}: {e}");
+        }
+        // A trailing label nothing branches to stays legal.
+        assert!(parse("halt\nend:\n".to_string()).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_text_never_panics(chars in prop::collection::vec(any::<u32>(), 0..256)) {
+            // Mostly ASCII, with some of everything else.
+            let text: String = chars
+                .iter()
+                .map(|&c| {
+                    if c % 4 == 0 {
+                        char::from_u32(c >> 8).unwrap_or('\u{fffd}')
+                    } else {
+                        (b' ' + (c % 95) as u8) as char
+                    }
+                })
+                .collect();
+            let _ = parse(text);
+        }
+
+        #[test]
+        fn corrupted_listings_never_panic(
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
+            keep in 0usize..400,
+        ) {
+            let mut bytes = VALID.as_bytes().to_vec();
+            for &(at, b) in &edits {
+                let n = bytes.len();
+                bytes[at % n] = b;
+            }
+            bytes.truncate(keep);
+            let _ = parse(String::from_utf8_lossy(&bytes).into_owned());
+        }
+
+        #[test]
+        fn spliced_token_lines_never_panic(
+            lines in prop::collection::vec(prop::collection::vec(any::<usize>(), 0..6), 1..12),
+        ) {
+            let text: String = lines
+                .iter()
+                .map(|line| {
+                    let words: Vec<&str> = line.iter().map(|&i| TOKENS[i % TOKENS.len()]).collect();
+                    words.join(" ") + "\n"
+                })
+                .collect();
+            let _ = parse(text);
+        }
     }
 }

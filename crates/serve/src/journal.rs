@@ -143,25 +143,31 @@ impl Journal {
         self.file.sync_data()
     }
 
-    /// Replays a journal file. Missing file = empty journal. Torn or
-    /// checksum-failing lines are dropped and counted, never fatal.
+    /// Replays a journal file. Missing file = empty journal. Torn,
+    /// checksum-failing or non-UTF-8 lines are dropped and counted,
+    /// never fatal; every other line replays whatever its neighbours
+    /// hold.
     pub fn replay(path: &Path) -> Replay {
-        let text = fs::read_to_string(path).unwrap_or_default();
+        let bytes = fs::read(path).unwrap_or_default();
         let mut records = Vec::new();
         let mut dropped = 0usize;
-        let complete_tail = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
+        let complete_tail = bytes.ends_with(b"\n");
+        let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
         for (i, line) in lines.iter().enumerate() {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
             if line.is_empty() {
                 continue;
             }
             let torn_tail = i + 1 == lines.len() && !complete_tail;
-            let parsed = line.split_once(' ').and_then(|(sum, json)| {
-                if fnv1a64_hex(json.as_bytes()) != sum {
-                    return None;
-                }
-                Record::from_value(&serde_json::from_str(json).ok()?)
-            });
+            let parsed = std::str::from_utf8(line)
+                .ok()
+                .and_then(|line| line.split_once(' '))
+                .and_then(|(sum, json)| {
+                    if fnv1a64_hex(json.as_bytes()) != sum {
+                        return None;
+                    }
+                    Record::from_value(&serde_json::from_str(json).ok()?)
+                });
             match parsed {
                 Some(rec) if !torn_tail => records.push(rec),
                 // A record on an unterminated final line may itself be
@@ -290,5 +296,131 @@ mod tests {
         let replay = Journal::replay(&path);
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[1], Record::Started { id: 1, attempt: 2 });
+    }
+}
+
+/// Robustness fuzzing: replay must answer any file — arbitrary bytes, a
+/// journal with corrupted bytes, or one cut short — with the records of
+/// its intact lines and a drop count, never a panic or a hang.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+
+    /// Writes `bytes` to a fresh journal file and replays it on a helper
+    /// thread: a panic or a replay still running after five seconds
+    /// fails the property.
+    fn replay(bytes: &[u8]) -> Replay {
+        let dir = std::env::temp_dir().join(format!(
+            "regshare-journal-fuzz-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.log");
+        fs::write(&path, bytes).unwrap();
+        let shown = String::from_utf8_lossy(&bytes[..bytes.len().min(80)]).into_owned();
+        let (tx, rx) = mpsc::channel();
+        let thread_path = path.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(Journal::replay(&thread_path));
+        });
+        let result = rx.recv_timeout(Duration::from_secs(5));
+        let _ = fs::remove_dir_all(&dir);
+        match result {
+            Ok(replay) => replay,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("replay hung on {shown:?}"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("replay panicked on {shown:?}"),
+        }
+    }
+
+    fn sample() -> Vec<Record> {
+        vec![
+            Record::Accepted {
+                id: 1,
+                payload: serde_json::from_str("{\"kernel\":\"saxpy\",\"regs\":[64,96]}").unwrap(),
+                key: "abc".into(),
+            },
+            Record::Started { id: 1, attempt: 1 },
+            Record::Completed {
+                id: 1,
+                key: "abc".into(),
+            },
+            Record::DeadLettered {
+                id: 2,
+                error: "deadline after 3 attempts: \u{e9}t\u{e9}".into(),
+            },
+        ]
+    }
+
+    /// The sample journal's lines, each with its newline.
+    fn lines() -> Vec<String> {
+        sample().iter().map(encode).collect()
+    }
+
+    /// The records whose encoded lines appear intact and terminated in
+    /// `bytes`, in order: what replay must recover.
+    fn intact(bytes: &[u8]) -> Vec<Record> {
+        let mut out = Vec::new();
+        let mut rest = bytes;
+        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+            let line = &rest[..=end];
+            if let Some(k) = lines().iter().position(|l| l.as_bytes() == line) {
+                out.push(sample()[k].clone());
+            }
+            rest = &rest[end + 1..];
+        }
+        out
+    }
+
+    /// A byte that is not valid UTF-8 used to empty the whole journal
+    /// (the file was read as one string); now it costs only its line.
+    #[test]
+    fn a_non_utf8_byte_drops_only_its_line() {
+        let mut bytes = lines().concat().into_bytes();
+        let second = lines()[0].len() + 3;
+        bytes[second] = 0xff;
+        let r = replay(&bytes);
+        assert_eq!(r.dropped, 1);
+        assert_eq!(r.records.len(), sample().len() - 1);
+        assert_eq!(r.records[0], sample()[0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            let r = replay(&bytes);
+            let nonempty = bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
+            prop_assert!(r.records.len() + r.dropped <= nonempty);
+        }
+
+        #[test]
+        fn corrupted_journals_keep_their_intact_lines(
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+        ) {
+            let mut bytes = lines().concat().into_bytes();
+            for &(at, b) in &edits {
+                let n = bytes.len();
+                bytes[at % n] = b;
+            }
+            prop_assert_eq!(replay(&bytes).records, intact(&bytes));
+        }
+
+        #[test]
+        fn truncated_journals_lose_only_the_torn_tail(keep in 0usize..400) {
+            let mut bytes = lines().concat().into_bytes();
+            bytes.truncate(keep);
+            let r = replay(&bytes);
+            prop_assert_eq!(&r.records, &intact(&bytes));
+            let torn = !bytes.is_empty() && !bytes.ends_with(b"\n");
+            prop_assert_eq!(r.dropped, torn as usize);
+        }
     }
 }

@@ -48,6 +48,7 @@
 //! assert_eq!(report.committed_instructions, 3);
 //! ```
 
+mod audit;
 mod bpred;
 mod cancel;
 mod config;
@@ -67,6 +68,7 @@ mod stages;
 mod warm;
 mod wheel;
 
+pub use audit::IqCorruptKind;
 pub use bpred::{BranchPredictor, BranchPredictorConfig};
 pub use cancel::{CancelToken, CANCEL_CHECK_INTERVAL};
 pub use config::{FetchPolicyKind, FuConfig, SimConfig};
@@ -78,6 +80,7 @@ pub use lsq::{LoadStoreQueue, LsqError, StoreSearch};
 pub use pipeline::Pipeline;
 pub use profile::{StageProfile, StageSlot, NUM_STAGE_SLOTS, STAGE_SLOT_NAMES};
 pub use report::SimReport;
+pub use rob::RobSlot;
 pub use sampled::{
     run_window, sample_windows, window_specs, SampledConfig, SampledReport, WindowJob,
     WindowResult, WindowSpec, DEFAULT_BATCH, DEFAULT_LEAD,

@@ -8,6 +8,7 @@
 //! loop: sequencing the stage ticks in commit-first order, the run /
 //! watchdog / report plumbing, and the public inspection API.
 
+use crate::audit::IqCorruptKind;
 use crate::bpred::BranchPredictor;
 use crate::cancel::{CancelToken, CANCEL_CHECK_INTERVAL};
 use crate::core_state::{CoreState, RobEntry, SeqSet, StageIo, ThreadCtx};
@@ -247,10 +248,8 @@ impl Pipeline {
             rf,
             scoreboard,
             mem_timing,
-            ready_q: SeqSet::default(),
             iq_len: 0,
             wake_scratch: Vec::new(),
-            squash_scratch: Vec::new(),
             next_seq: 1,
             cycle: 0,
             completions,
@@ -274,14 +273,13 @@ impl Pipeline {
             wall_seconds: 0.0,
             profile: Default::default(),
         };
-        let iq_entries = core.config.iq_entries;
         Pipeline {
             lat: (0..n).map(|_| StageIo::default()).collect(),
             fetch: FetchStage::new(n),
             decode: DecodeStage,
             rename: RenameStage,
             dispatch: DispatchStage,
-            issue: IssueStage::new(iq_entries),
+            issue: IssueStage,
             execute: ExecuteStage,
             writeback: WritebackStage,
             commit: CommitStage,
@@ -342,6 +340,23 @@ impl Pipeline {
     /// Number of invariant audits performed so far.
     pub fn audits(&self) -> u64 {
         self.core.audits
+    }
+
+    /// Runs every invariant audit now, whatever
+    /// [`SimConfig::audit_interval`] says.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Invariant`] naming the first violated invariant.
+    pub fn audit(&mut self) -> Result<(), SimError> {
+        self.core.audit(&self.lat)
+    }
+
+    /// Deliberately corrupts the issue queue (auditor self-tests only);
+    /// the next [`Pipeline::audit`] must report it. Returns false, and
+    /// changes nothing, when no in-flight entry fits `kind` this cycle.
+    pub fn corrupt_issue_queue(&mut self, kind: IqCorruptKind) -> bool {
+        self.core.corrupt_issue_queue(kind)
     }
 
     // ---- the cycle loop ----
@@ -427,7 +442,7 @@ impl Pipeline {
             if self.core.rob_nonempty() && self.core.cycle - self.core.last_commit_cycle > 100_000 {
                 return Err(SimError::Deadlock {
                     cycle: self.core.cycle,
-                    head_seq: self.core.oldest_inflight().map(|e| e.seq),
+                    head_seq: self.core.oldest_inflight().map(|(_, e)| e.seq),
                     snapshot: Box::new(self.core.snapshot(&self.lat)),
                 });
             }

@@ -8,13 +8,15 @@
 //! cost is [`recovery_cycles`] of the recover commands. The walk is
 //! per hardware thread: only the squashing thread's ROB partition,
 //! LSQ, latches, and rename checkpoints are touched, while the shared
-//! scoreboard drops exactly that thread's squashed waiters. The
+//! scoreboard unwatches exactly the squashed consumers — O(squashed)
+//! work, not a walk of every tag's waiter list. The
 //! redirect paths that also re-steer fetch share
 //! [`redirect_after_squash`].
 
 use crate::core_state::{CoreState, StageIo};
 use crate::inject::InjectKind;
 use crate::profile::StageSlot;
+use crate::rob::RobSlot;
 use regshare_core::UopKind;
 
 /// Squashes every micro-op of thread `tid` with a sequence number
@@ -29,48 +31,40 @@ pub(crate) fn squash_younger_than(
     tid: usize,
     seq: u64,
 ) -> u32 {
-    let single = core.threads.len() == 1;
     let mut squashed = 0u64;
     {
         // Split borrows: the ROB walk mutates this thread's partition
-        // while repairing the shared issue-queue accounting.
+        // while repairing the shared issue-queue accounting and wakeup
+        // lists.
         let CoreState {
             threads,
             iq_len,
-            ready_q,
-            squash_scratch,
+            scoreboard,
             ..
         } = core;
-        let ctx = &mut threads[tid];
-        squash_scratch.clear();
-        while matches!(ctx.rob.back(), Some(e) if e.seq > seq) {
-            let Some(e) = ctx.rob.pop_back() else { break };
+        let rob = &mut threads[tid].rob;
+        while matches!(rob.back(), Some(e) if e.seq > seq) {
+            // Popping drops the slot's issue-queue bits.
+            let Some((idx, e)) = rob.pop_back() else {
+                break;
+            };
             squashed += 1;
-            if !single {
-                squash_scratch.push(e.seq);
+            if e.issued {
+                continue;
             }
-            if !e.issued {
-                *iq_len -= 1;
-                if e.pending_srcs == 0 {
-                    ready_q.remove(e.seq);
+            *iq_len -= 1;
+            // A squashed consumer still parked in the wakeup network
+            // must not be woken by a surviving producer.
+            if e.pending_srcs > 0 {
+                for tag in e.srcs.into_iter().flatten() {
+                    if !scoreboard.is_ready(tag) {
+                        scoreboard.unwatch(tag, RobSlot::new(tid, idx));
+                    }
                 }
             }
         }
     }
     core.profile.add_work(StageSlot::Housekeeping, squashed);
-    // Squashed consumers still parked in the wakeup network must not
-    // be woken by surviving producers. With one thread every younger
-    // seq belongs to it; with several, other threads' younger micro-ops
-    // survive, so only the exact squashed set is drained.
-    if single {
-        core.scoreboard.drain_waiters_after(seq);
-    } else {
-        // Popped youngest-first: reverse into ascending order.
-        core.squash_scratch.reverse();
-        let scratch = std::mem::take(&mut core.squash_scratch);
-        core.scoreboard.drain_waiters_in(&scratch);
-        core.squash_scratch = scratch;
-    }
     core.threads[tid].unresolved_branches.retain_le(seq);
     core.threads[tid].lsq.squash_after(seq);
     // An abandoned fill must not satisfy a later fetch of the same PC.

@@ -3,12 +3,15 @@
 //!
 //! The scoreboard is the single source of truth for operand readiness
 //! *and* the broadcast fabric of the event-driven scheduler: a dispatched
-//! consumer whose source tag is busy registers itself as a waiter on that
-//! tag ([`Scoreboard::watch`]), and the producer's writeback
-//! ([`Scoreboard::set_ready`]) hands every waiting sequence number back to
-//! the pipeline instead of forcing a per-cycle scan of the whole issue
-//! queue.
+//! consumer whose source tag is busy registers its [`RobSlot`] handle as
+//! a waiter on that tag ([`Scoreboard::watch`]), and the producer's
+//! writeback ([`Scoreboard::set_ready`]) hands every waiting handle back
+//! to the pipeline instead of forcing a per-cycle scan of the whole issue
+//! queue. A squash unwatches exactly its own consumers
+//! ([`Scoreboard::unwatch`]), so a flush costs O(squashed) rather than a
+//! walk of every tag's list.
 
+use crate::rob::RobSlot;
 use regshare_core::TaggedReg;
 use regshare_isa::RegClass;
 
@@ -27,7 +30,7 @@ use regshare_isa::RegClass;
 /// # Examples
 ///
 /// ```
-/// use regshare_sim::Scoreboard;
+/// use regshare_sim::{RobSlot, Scoreboard};
 /// use regshare_core::{PhysReg, TaggedReg};
 /// use regshare_isa::RegClass;
 ///
@@ -38,21 +41,22 @@ use regshare_isa::RegClass;
 /// assert!(!sb.is_ready(t));
 ///
 /// // A consumer waits on the busy tag; the producer's writeback
-/// // broadcasts its sequence number back.
-/// sb.watch(t, 42);
+/// // broadcasts its handle back.
+/// let consumer = RobSlot::new(0, 42);
+/// sb.watch(t, consumer);
 /// let mut woken = Vec::new();
 /// sb.set_ready(t, &mut woken);
 /// assert!(sb.is_ready(t));
-/// assert_eq!(woken, [42]);
+/// assert_eq!(woken, [consumer]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scoreboard {
     /// One readiness bit per slot; slot = `preg * max_versions + version`.
     ready: [Vec<u64>; 2],
-    /// Waiting consumer sequence numbers per slot. A consumer appears
-    /// once per busy source occurrence (twice if both sources are the
-    /// same busy tag), matching its not-ready counter in the pipeline.
-    waiters: [Vec<Vec<u64>>; 2],
+    /// Waiting consumer handles per slot. A consumer appears once per
+    /// busy source occurrence (twice if both sources are the same busy
+    /// tag), matching its not-ready counter in the pipeline.
+    waiters: [Vec<Vec<RobSlot>>; 2],
     regs: [usize; 2],
     max_versions: usize,
 }
@@ -96,9 +100,9 @@ impl Scoreboard {
         self.ready[tag.class.index()][slot / 64] &= !(1u64 << (slot % 64));
     }
 
-    /// Marks a tag ready (producer wrote back / producer squashed) and
-    /// appends every waiting consumer's sequence number to `woken`.
-    pub fn set_ready(&mut self, tag: TaggedReg, woken: &mut Vec<u64>) {
+    /// Marks a tag ready (the producer wrote back) and appends every
+    /// waiting consumer's handle to `woken`, in registration order.
+    pub fn set_ready(&mut self, tag: TaggedReg, woken: &mut Vec<RobSlot>) {
         let slot = self.slot(tag);
         self.ready[tag.class.index()][slot / 64] |= 1u64 << (slot % 64);
         woken.append(&mut self.waiters[tag.class.index()][slot]);
@@ -110,51 +114,45 @@ impl Scoreboard {
         self.ready[tag.class.index()][slot / 64] & (1u64 << (slot % 64)) != 0
     }
 
-    /// Registers consumer `seq` to be woken when `tag` becomes ready.
+    /// Registers consumer `h` to be woken when `tag` becomes ready.
     /// Must only be called for busy tags.
-    pub fn watch(&mut self, tag: TaggedReg, seq: u64) {
+    pub fn watch(&mut self, tag: TaggedReg, h: RobSlot) {
         debug_assert!(!self.is_ready(tag), "watching an already-ready tag {tag:?}");
         let slot = self.slot(tag);
-        self.waiters[tag.class.index()][slot].push(seq);
+        self.waiters[tag.class.index()][slot].push(h);
     }
 
-    /// Removes every waiter with a sequence number greater than `seq`
-    /// (flush/recovery: squashed consumers must not be woken).
-    pub fn drain_waiters_after(&mut self, seq: u64) {
-        for class in &mut self.waiters {
-            for slot in class.iter_mut() {
-                if !slot.is_empty() {
-                    slot.retain(|s| *s <= seq);
-                }
-            }
-        }
+    /// Removes every registration of consumer `h` on `tag` (a squashed
+    /// consumer parked twice on one tag drops both).
+    pub fn unwatch(&mut self, tag: TaggedReg, h: RobSlot) {
+        let slot = self.slot(tag);
+        self.waiters[tag.class.index()][slot].retain(|w| *w != h);
     }
 
-    /// Removes every waiter whose sequence number appears in `squashed`
-    /// (sorted ascending) — the selective flush an SMT recovery needs,
-    /// where only one thread's micro-ops die and other threads' younger
-    /// consumers must keep their wakeup registrations.
-    pub fn drain_waiters_in(&mut self, squashed: &[u64]) {
-        debug_assert!(squashed.is_sorted(), "squashed seqs must be sorted");
-        if squashed.is_empty() {
-            return;
-        }
-        for class in &mut self.waiters {
-            for slot in class.iter_mut() {
-                if !slot.is_empty() {
-                    slot.retain(|s| squashed.binary_search(s).is_err());
-                }
-            }
-        }
-    }
-
-    /// Whether consumer `seq` is waiting on at least one tag (deadlock
+    /// Whether consumer `h` is waiting on at least one tag (deadlock
     /// diagnostics).
-    pub fn has_waiter(&self, seq: u64) -> bool {
-        self.waiters
-            .iter()
-            .flatten()
-            .any(|slot| slot.contains(&seq))
+    pub fn has_waiter(&self, h: RobSlot) -> bool {
+        self.waiters.iter().flatten().any(|slot| slot.contains(&h))
+    }
+
+    /// Every registration as `(tag, consumer)`, for the invariant audit.
+    pub fn waiters(&self) -> impl Iterator<Item = (TaggedReg, RobSlot)> + '_ {
+        let versions = self.max_versions;
+        [RegClass::Int, RegClass::Fp]
+            .into_iter()
+            .flat_map(move |class| {
+                self.waiters[class.index()]
+                    .iter()
+                    .enumerate()
+                    .flat_map(move |(slot, hs)| {
+                        let tag = TaggedReg::new(
+                            class,
+                            regshare_core::PhysReg((slot / versions) as _),
+                            (slot % versions) as u8,
+                        );
+                        hs.iter().map(move |&h| (tag, h))
+                    })
+            })
     }
 
     /// Number of physical registers tracked for a class.
@@ -212,54 +210,43 @@ mod tests {
         assert_eq!(sb.max_versions(), 8);
     }
 
+    fn h(idx: usize) -> RobSlot {
+        RobSlot::new(0, idx)
+    }
+
     #[test]
     fn broadcast_wakes_all_waiters_in_registration_order() {
         let mut sb = Scoreboard::new(8, 0, 4);
         let t = TaggedReg::new(RegClass::Int, PhysReg(5), 2);
         sb.set_busy(t);
-        sb.watch(t, 10);
-        sb.watch(t, 11);
-        sb.watch(t, 10); // same consumer, both sources on this tag
-        assert!(sb.has_waiter(10));
+        sb.watch(t, h(10));
+        sb.watch(t, h(11));
+        sb.watch(t, h(10)); // same consumer, both sources on this tag
+        assert!(sb.has_waiter(h(10)));
+        assert_eq!(sb.waiters().count(), 3);
+        assert!(sb.waiters().all(|(tag, _)| tag == t));
         let mut woken = Vec::new();
         sb.set_ready(t, &mut woken);
-        assert_eq!(woken, [10, 11, 10]);
-        assert!(!sb.has_waiter(10));
+        assert_eq!(woken, [h(10), h(11), h(10)]);
+        assert!(!sb.has_waiter(h(10)));
         // The broadcast drains the slot: re-busying is legal again.
         sb.set_busy(t);
     }
 
     #[test]
-    fn drain_removes_only_younger_waiters() {
-        let mut sb = Scoreboard::new(8, 0, 4);
-        let a = TaggedReg::new(RegClass::Int, PhysReg(1), 0);
-        let b = TaggedReg::new(RegClass::Int, PhysReg(2), 1);
-        sb.set_busy(a);
-        sb.set_busy(b);
-        sb.watch(a, 5);
-        sb.watch(a, 9);
-        sb.watch(b, 7);
-        sb.drain_waiters_after(6);
-        let mut woken = Vec::new();
-        sb.set_ready(a, &mut woken);
-        sb.set_ready(b, &mut woken);
-        assert_eq!(woken, [5]);
-    }
-
-    #[test]
-    fn selective_drain_spares_other_threads_waiters() {
+    fn unwatch_drops_every_registration_of_one_consumer() {
         let mut sb = Scoreboard::new(8, 0, 4);
         let a = TaggedReg::new(RegClass::Int, PhysReg(1), 0);
         sb.set_busy(a);
-        // Thread A's consumers (seqs 5, 9) die in a squash; thread B's
-        // younger consumer (seq 7) must survive.
-        sb.watch(a, 5);
-        sb.watch(a, 7);
-        sb.watch(a, 9);
-        sb.drain_waiters_in(&[5, 9]);
+        // Thread 0's consumer in slot 5 is parked twice and dies in a
+        // squash; thread 1's consumer in the same slot must survive.
+        sb.watch(a, h(5));
+        sb.watch(a, RobSlot::new(1, 5));
+        sb.watch(a, h(5));
+        sb.unwatch(a, h(5));
         let mut woken = Vec::new();
         sb.set_ready(a, &mut woken);
-        assert_eq!(woken, [7]);
+        assert_eq!(woken, [RobSlot::new(1, 5)]);
     }
 
     #[test]
@@ -277,7 +264,7 @@ mod tests {
         let mut sb = Scoreboard::new(4, 4, 4);
         let t = TaggedReg::new(RegClass::Int, PhysReg(1), 1);
         sb.set_busy(t);
-        sb.watch(t, 3);
+        sb.watch(t, RobSlot::new(0, 3));
         sb.set_busy(t);
     }
 }

@@ -16,20 +16,33 @@ use regshare_mem::DataAccess;
 #[derive(Debug, Default)]
 pub(crate) struct ExecuteStage;
 
+/// What one select attempt came to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Attempt {
+    /// Executed and booked on the completion wheel; the caller marks the
+    /// entry issued.
+    Issued,
+    /// No unit of this class is free; none will be for the rest of the
+    /// cycle, as a unit only gets busier within one.
+    NoUnit(OpClass),
+    /// A load overlapping an older store it cannot forward from; retry
+    /// next cycle.
+    Conflict,
+}
+
 impl ExecuteStage {
-    /// Attempts to execute the ready micro-op `seq` of thread `tid` at
-    /// ROB-partition index `idx`. `Ok(true)`: issued (or squashed —
-    /// either way leaves the ready queue); `Ok(false)`: structural
-    /// hazard, retry next cycle.
+    /// Attempts to execute the ready micro-op of thread `tid` in ROB
+    /// slot `idx`. The select walk guarantees a load reaches here only
+    /// once every older store of its thread has resolved its address.
     pub(crate) fn try_execute(
         &mut self,
         core: &mut CoreState,
         lat: &mut [StageIo],
-        seq: u64,
         tid: usize,
         idx: usize,
-    ) -> Result<bool, SimError> {
+    ) -> Result<Attempt, SimError> {
         let entry = &core.threads[tid].rob[idx];
+        let seq = entry.seq;
         debug_assert!(
             entry
                 .srcs
@@ -46,7 +59,7 @@ impl ExecuteStage {
         match kind {
             UopKind::RepairMove => {
                 let Some(latency) = core.fus.try_issue(OpClass::IntAlu, core.cycle) else {
-                    return Ok(false);
+                    return Ok(Attempt::NoUnit(OpClass::IntAlu));
                 };
                 let Some(src) = srcs[0] else {
                     return Err(core
@@ -60,16 +73,15 @@ impl ExecuteStage {
                 } else {
                     latency
                 };
-                let e = &mut core.threads[tid].rob[idx];
-                e.result = Some(value);
-                e.issued = true;
-                core.schedule(seq, total);
-                Ok(true)
+                core.threads[tid].rob[idx].result = Some(value);
+                core.schedule(tid, idx, total);
+                Ok(Attempt::Issued)
             }
             UopKind::Main if d.is_load() => {
-                if !core.threads[tid].lsq.older_stores_resolved(seq) {
-                    return Ok(false);
-                }
+                debug_assert!(
+                    core.threads[tid].lsq.older_stores_resolved(seq),
+                    "load seq {seq} selected behind an unresolved store"
+                );
                 let ops = core.read_operands(&srcs);
                 let (ea, width, writeback) = match exec::evaluate(&inst, pc, ops) {
                     Action::Load { ea, width } => (ea, width, None),
@@ -90,23 +102,22 @@ impl ExecuteStage {
                     Err(e) => return Err(core.lsq_err(lat, e)),
                 };
                 match found {
-                    StoreSearch::Conflict { .. } => Ok(false),
+                    StoreSearch::Conflict { .. } => Ok(Attempt::Conflict),
                     StoreSearch::Forward(bits) => {
                         if core.fus.try_issue(OpClass::Load, core.cycle).is_none() {
-                            return Ok(false);
+                            return Ok(Attempt::NoUnit(OpClass::Load));
                         }
                         let latency = 1 + core.config.mem.l1d.latency;
                         let e = &mut core.threads[tid].rob[idx];
                         e.result = Some(bits);
                         e.result2 = writeback;
                         e.ea = Some(ea);
-                        e.issued = true;
-                        core.schedule(seq, latency);
-                        Ok(true)
+                        core.schedule(tid, idx, latency);
+                        Ok(Attempt::Issued)
                     }
                     StoreSearch::Memory => {
                         if core.fus.try_issue(OpClass::Load, core.cycle).is_none() {
-                            return Ok(false);
+                            return Ok(Attempt::NoUnit(OpClass::Load));
                         }
                         let access = core.mem_timing.access_data_checked(
                             tag_addr(tid, pc) * 4,
@@ -128,15 +139,14 @@ impl ExecuteStage {
                         e.result2 = writeback;
                         e.ea = Some(ea);
                         e.exception = fault;
-                        e.issued = true;
-                        core.schedule(seq, latency);
-                        Ok(true)
+                        core.schedule(tid, idx, latency);
+                        Ok(Attempt::Issued)
                     }
                 }
             }
             UopKind::Main if d.is_store() => {
                 let Some(latency) = core.fus.try_issue(OpClass::Store, core.cycle) else {
-                    return Ok(false);
+                    return Ok(Attempt::NoUnit(OpClass::Store));
                 };
                 let ops = core.read_operands(&srcs);
                 let (ea, width, value, writeback) = match exec::evaluate(&inst, pc, ops) {
@@ -163,14 +173,13 @@ impl ExecuteStage {
                 e.ea = Some(ea);
                 e.result2 = writeback;
                 e.exception = fault;
-                e.issued = true;
-                core.schedule(seq, latency);
-                Ok(true)
+                core.schedule(tid, idx, latency);
+                Ok(Attempt::Issued)
             }
             UopKind::Main => {
                 let class = d.class;
                 let Some(latency) = core.fus.try_issue(class, core.cycle) else {
-                    return Ok(false);
+                    return Ok(Attempt::NoUnit(class));
                 };
                 let ops = core.read_operands(&srcs);
                 let action = exec::evaluate(&inst, pc, ops);
@@ -202,9 +211,8 @@ impl ExecuteStage {
                         ));
                     }
                 }
-                e.issued = true;
-                core.schedule(seq, latency);
-                Ok(true)
+                core.schedule(tid, idx, latency);
+                Ok(Attempt::Issued)
             }
         }
     }

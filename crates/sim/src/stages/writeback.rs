@@ -22,22 +22,23 @@ impl WritebackStage {
         core: &mut CoreState,
         lat: &mut [StageIo],
     ) -> Result<StageOutcome, SimError> {
-        let mut seqs = core.completions.take(core.cycle);
-        if seqs.is_empty() {
-            core.completions.recycle(seqs);
+        let mut done = core.completions.take(core.cycle);
+        if done.is_empty() {
+            core.completions.recycle(done);
             return Ok(StageOutcome::Ran);
         }
         // Out-of-order issue can schedule completions for one cycle in
         // any order; broadcast oldest-first like real wakeup ports.
-        seqs.sort_unstable();
+        done.sort_unstable();
         core.profile
-            .add_work(StageSlot::Writeback, seqs.len() as u64);
-        for &seq in &seqs {
-            let Some((tid, idx)) = core.rob_find(seq) else {
+            .add_work(StageSlot::Writeback, done.len() as u64);
+        for &(seq, h) in &done {
+            let (tid, idx) = (h.tid(), h.idx());
+            if !core.threads[tid].rob.holds(idx, seq) {
                 continue; // squashed while in flight
-            };
-            // `idx` stays valid through the wakeup broadcasts below: they
-            // mutate entries in place but never insert or remove.
+            }
+            // The slot stays live through the wakeup broadcasts below:
+            // they mutate entries in place but never insert or remove.
             let (dst, result, dst2, result2, is_branch) = {
                 let e = &mut core.threads[tid].rob[idx];
                 e.done = true;
@@ -109,7 +110,7 @@ impl WritebackStage {
                 }
             }
         }
-        core.completions.recycle(seqs);
+        core.completions.recycle(done);
         Ok(StageOutcome::Ran)
     }
 }

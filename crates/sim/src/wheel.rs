@@ -8,7 +8,9 @@
 //! an operation's latency exceeds the current horizon (DRAM round trips
 //! on a cold TLB can reach hundreds of cycles).
 
-/// Ring buffer of `(completion cycle, sequence number)` buckets.
+/// Ring buffer of `(completion cycle, payload)` buckets. The payload is
+/// whatever identifies a completing operation — a sequence number by
+/// default; the pipeline uses `(seq, ROB slot handle)`.
 ///
 /// # Examples
 ///
@@ -23,16 +25,16 @@
 /// assert_eq!(wheel.take(12), [4]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct CompletionWheel {
+pub struct CompletionWheel<T = u64> {
     /// `slots[cycle & mask]` holds everything completing at `cycle`; the
     /// cycle is stored alongside each entry so the ring can re-bucket
     /// itself on growth.
-    slots: Vec<Vec<(u64, u64)>>,
+    slots: Vec<Vec<(u64, T)>>,
     mask: u64,
     /// Drained output vectors recycled across cycles so the steady state
     /// allocates nothing (buckets themselves are cleared in place and
     /// keep their capacity).
-    spare: Vec<Vec<u64>>,
+    spare: Vec<Vec<T>>,
     len: usize,
 }
 
@@ -40,7 +42,7 @@ pub struct CompletionWheel {
 /// trip; only pathological memory configurations force growth.
 const INITIAL_SLOTS: usize = 512;
 
-impl CompletionWheel {
+impl<T: Copy> CompletionWheel<T> {
     /// Creates an empty wheel.
     pub fn new() -> Self {
         CompletionWheel {
@@ -84,28 +86,28 @@ impl CompletionWheel {
         self.len == 0
     }
 
-    /// Schedules `seq` to complete at `cycle`. Entries may land further
+    /// Schedules `item` to complete at `cycle`. Entries may land further
     /// out than the ring is long — [`CompletionWheel::take`] matches on
     /// the stored cycle, so a shared bucket is a slow path, never a
     /// correctness hazard — but an occupied bucket from a different
     /// cycle triggers growth to keep buckets homogeneous.
-    pub fn schedule(&mut self, cycle: u64, seq: u64) {
+    pub fn schedule(&mut self, cycle: u64, item: T) {
         let bucket = &mut self.slots[(cycle & self.mask) as usize];
         if let Some(&(resident, _)) = bucket.first() {
             if resident != cycle {
                 self.grow(cycle);
-                return self.schedule(cycle, seq);
+                return self.schedule(cycle, item);
             }
         }
-        bucket.push((cycle, seq));
+        bucket.push((cycle, item));
         self.len += 1;
     }
 
-    /// Removes and returns every sequence number completing at exactly
+    /// Removes and returns every item completing at exactly
     /// `cycle`, in schedule order. Entries for a later lap of the ring
     /// stay put. Return the vector via [`CompletionWheel::recycle`] to
     /// avoid reallocating a bucket next cycle.
-    pub fn take(&mut self, cycle: u64) -> Vec<u64> {
+    pub fn take(&mut self, cycle: u64) -> Vec<T> {
         let bucket = &mut self.slots[(cycle & self.mask) as usize];
         let mut out = self.spare.pop().unwrap_or_default();
         if bucket.is_empty() {
@@ -113,13 +115,13 @@ impl CompletionWheel {
         }
         if bucket.iter().all(|&(c, _)| c == cycle) {
             self.len -= bucket.len();
-            out.extend(bucket.iter().map(|&(_, seq)| seq));
+            out.extend(bucket.iter().map(|&(_, item)| item));
             bucket.clear();
         } else {
             let before = bucket.len();
-            bucket.retain(|&(c, seq)| {
+            bucket.retain(|&(c, item)| {
                 if c == cycle {
-                    out.push(seq);
+                    out.push(item);
                     false
                 } else {
                     true
@@ -131,7 +133,7 @@ impl CompletionWheel {
     }
 
     /// Returns a drained vector's storage to the wheel for reuse.
-    pub fn recycle(&mut self, mut v: Vec<u64>) {
+    pub fn recycle(&mut self, mut v: Vec<T>) {
         if self.spare.len() < 4 {
             v.clear();
             self.spare.push(v);
@@ -141,7 +143,7 @@ impl CompletionWheel {
     /// Doubles the ring until `cycle` no longer collides with any
     /// resident bucket, re-bucketing everything in flight.
     fn grow(&mut self, cycle: u64) {
-        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(self.len + 1);
+        let mut entries: Vec<(u64, T)> = Vec::with_capacity(self.len + 1);
         for bucket in &mut self.slots {
             entries.append(bucket);
         }

@@ -149,3 +149,45 @@ fn healthy_two_thread_runs_audit_clean_every_cycle() {
         assert!(sim.audits() > 100, "audits ran every cycle");
     }
 }
+
+/// Each seeded issue-queue corruption — a stray ready bit on an issued
+/// slot, a waiter a squash left behind on a slot that holds no entry —
+/// must be caught by the next audit, on one thread and on two. The
+/// machine audits clean every cycle up to the corruption.
+#[test]
+fn issue_queue_corruptions_are_caught() {
+    use regshare::core::{BaselineRenamer, Renamer};
+    use regshare::sim::IqCorruptKind;
+    let cases = [
+        (IqCorruptKind::StrayReadyBit, "ready bit"),
+        (IqCorruptKind::LeftoverWaiter, "waiter"),
+    ];
+    for (kind, needle) in cases {
+        for threads in [1, 2] {
+            let renamer: Box<dyn Renamer> = Box::new(BaselineRenamer::new(
+                RenamerConfig::baseline(64 * threads).with_threads(threads),
+            ));
+            let programs = vec![kernel("dct").program(SCALE); threads];
+            let cfg = experiment_config(SCALE * threads as u64).with_threads(threads);
+            let mut sim = Pipeline::new_smt(programs, renamer, cfg).expect("valid config");
+            let mut applied = false;
+            for _ in 0..2_000 {
+                sim.run_cycles(1).expect("healthy run");
+                sim.audit()
+                    .unwrap_or_else(|e| panic!("{kind:?}: healthy state audited dirty: {e}"));
+                if sim.corrupt_issue_queue(kind) {
+                    applied = true;
+                    break;
+                }
+            }
+            assert!(applied, "{kind:?}: no in-flight entry to corrupt");
+            match sim.audit() {
+                Err(SimError::Invariant { what, .. }) => assert!(
+                    what.contains(needle),
+                    "{kind:?} ({threads} thread(s)): diagnostic {what:?} does not mention {needle:?}"
+                ),
+                other => panic!("{kind:?} ({threads} thread(s)): expected a violation, got {other:?}"),
+            }
+        }
+    }
+}
