@@ -20,17 +20,19 @@ use regshare_isa::OpClass;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FuPool {
-    pools: Vec<(OpClass, FuConfig, Vec<u64>)>, // busy-until per unit
+    /// Indexed by `OpClass as usize`: the class's configuration and the
+    /// busy-until cycle of each of its units (`None`: no such unit).
+    pools: Vec<Option<(FuConfig, Vec<u64>)>>,
 }
 
 impl FuPool {
     /// Creates the pools from the simulator configuration.
     pub fn new(config: &crate::SimConfig) -> Self {
-        let pools = config
-            .fus
-            .iter()
-            .map(|(class, fu)| (*class, *fu, vec![0u64; fu.count]))
-            .collect();
+        let mut pools = vec![None; OpClass::Branch as usize + 1];
+        for (class, fu) in &config.fus {
+            // The first entry for a class is the one that counts.
+            pools[*class as usize].get_or_insert_with(|| (*fu, vec![0u64; fu.count]));
+        }
         FuPool { pools }
     }
 
@@ -38,10 +40,8 @@ impl FuPool {
     /// operation latency on success; the unit is occupied for one cycle
     /// (pipelined) or the full latency (unpipelined).
     pub fn try_issue(&mut self, class: OpClass, now: u64) -> Option<u32> {
-        let (_, fu, units) = self
-            .pools
-            .iter_mut()
-            .find(|(c, _, _)| *c == class)
+        let (fu, units) = self.pools[class as usize]
+            .as_mut()
             .unwrap_or_else(|| panic!("no functional unit for {class}"));
         let unit = units.iter_mut().find(|busy| **busy <= now)?;
         *unit = now + if fu.pipelined { 1 } else { fu.latency as u64 };
@@ -50,10 +50,9 @@ impl FuPool {
 
     /// The configured latency of a class (without claiming a unit).
     pub fn latency(&self, class: OpClass) -> u32 {
-        self.pools
-            .iter()
-            .find(|(c, _, _)| *c == class)
-            .map(|(_, f, _)| f.latency)
+        self.pools[class as usize]
+            .as_ref()
+            .map(|(fu, _)| fu.latency)
             .unwrap_or_else(|| panic!("no functional unit for {class}"))
     }
 }

@@ -117,7 +117,9 @@ impl LoadStoreQueue {
         width: u8,
         value: u64,
     ) -> Result<(), LsqError> {
-        let Some(e) = self.stores.iter_mut().find(|e| e.seq == seq) else {
+        // Stores sit in dispatch (seq) order.
+        let at = self.stores.partition_point(|e| e.seq < seq);
+        let Some(e) = self.stores.get_mut(at).filter(|e| e.seq == seq) else {
             return Err(LsqError {
                 seq,
                 detail: "resolving a store that is not in the queue".into(),
@@ -142,11 +144,9 @@ impl LoadStoreQueue {
     /// `width` bytes at `addr`. Errors on a resolved store entry with no
     /// data (malformed forwarding state).
     pub fn search(&self, seq: u64, addr: u64, width: u8) -> Result<StoreSearch, LsqError> {
-        // Youngest older store wins.
-        for e in self.stores.iter().rev() {
-            if e.seq >= seq {
-                continue;
-            }
+        // Youngest older store wins; stores sit in dispatch (seq) order.
+        let older = self.stores.partition_point(|e| e.seq < seq);
+        for e in self.stores.range(..older).rev() {
             let Some(saddr) = e.addr else {
                 return Ok(StoreSearch::Conflict { store_seq: e.seq });
             };
